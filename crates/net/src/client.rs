@@ -514,7 +514,7 @@ impl NetClassProvider {
                 request_id: rid,
                 served_from,
                 processing_ns,
-                bytes,
+                mut bytes,
             } => {
                 if rid != request_id {
                     return Err(NetError::Protocol(format!(
@@ -529,16 +529,21 @@ impl NetClassProvider {
                 } else {
                     Some(dvm_proxy::ir_key(&bytes))
                 };
-                let payload = match &self.signer {
-                    Some(signer) => match signer.detach(&bytes) {
-                        (SignatureCheck::Valid, Some(payload)) => payload.to_vec(),
+                // A verified payload is a prefix of the signed bytes:
+                // dropping the tag in place spares a copy per fetch.
+                if let Some(signer) = &self.signer {
+                    match signer.detach(&bytes) {
+                        (SignatureCheck::Valid, Some(payload)) => {
+                            let len = payload.len();
+                            bytes.truncate(len);
+                        }
                         _ => {
                             self.stats.signature_failures += 1;
                             return Err(NetError::BadSignature);
                         }
-                    },
-                    None => bytes,
-                };
+                    }
+                }
+                let payload = bytes;
                 self.stats.bytes_received += payload.len() as u64;
                 let transfer = NetTransfer {
                     url: url.to_owned(),

@@ -8,12 +8,16 @@
 //! and stays ignorant of sockets. The one frame that does real work,
 //! `CODE_REQUEST`, comes back as [`Flow::Execute`] so each engine can
 //! run [`execute_plan`] where blocking is acceptable: inline on a
-//! connection thread, or on the reactor's worker pool.
+//! connection thread, or on the reactor's worker pool. The reactor
+//! first offers the plan to [`try_execute_inline`], which answers the
+//! common case — an unfaulted memory-tier hit — without blocking, so
+//! only misses pay the worker round trip. Both paths build their reply
+//! through one helper, so they count and trace alike.
 
 use std::sync::atomic::Ordering;
 
 use dvm_monitor::{ClientDescription, SessionId, SiteId};
-use dvm_proxy::{CacheTier, ProxyError, RequestContext, ServedFrom};
+use dvm_proxy::{CacheTier, ProxyError, RequestContext, ServedFrom, ServedResponse};
 use dvm_telemetry::{SpanId, TraceContext};
 
 use crate::frame::{kind_from_u8, ErrorCode, Frame, Hello};
@@ -346,22 +350,84 @@ pub(crate) fn execute_plan(inner: &Inner, plan: ExecPlan) -> ExecOutput {
     if let Some(FaultAction::Delay(d)) = plan.fault {
         std::thread::sleep(d);
     }
-    // A traced request gets a "shard.serve" span covering the whole
-    // server-side handling; its id is allocated now so the proxy's
-    // spans parent under it.
+    let mut reply = build_reply(inner, &plan, |ctx| {
+        Some(inner.proxy.handle_request_detailed(&plan.url, ctx))
+    })
+    .expect("the blocking serve always answers");
+    match plan.fault {
+        Some(FaultAction::Corrupt) => {
+            // Flip one byte in the middle of the payload: the frame
+            // still parses, so only the client's signature check can
+            // catch the damage.
+            if let Frame::CodeResponse { bytes, .. } = &mut reply {
+                if !bytes.is_empty() {
+                    let mid = bytes.len() / 2;
+                    bytes[mid] ^= 0xFF;
+                }
+            }
+            ExecOutput {
+                bytes: inner.encode_counted(&reply),
+                close: false,
+            }
+        }
+        Some(FaultAction::Truncate(n)) => {
+            // Deliver a strict prefix of the encoded frame, then die:
+            // the client must see a mid-frame truncation, never a
+            // short-but-clean close.
+            let encoded = reply.encode();
+            let cut = n.clamp(1, encoded.len().saturating_sub(1));
+            inner.metrics.frames_out.inc();
+            inner.metrics.bytes_out.add(cut as u64);
+            ExecOutput {
+                bytes: encoded[..cut].to_vec(),
+                close: true,
+            }
+        }
+        _ => ExecOutput {
+            bytes: inner.encode_counted(&reply),
+            close: false,
+        },
+    }
+}
+
+/// Answers `plan` on the calling thread when that cannot block: no
+/// fault is planned, and the url is a memory-tier hit whose cache lock
+/// is free right now ([`dvm_proxy::Proxy::try_serve_memory_hit`]).
+/// Returns the counted wire bytes, or `None`, with nothing counted,
+/// when the request must go through [`execute_plan`].
+pub(crate) fn try_execute_inline(inner: &Inner, plan: &ExecPlan) -> Option<Vec<u8>> {
+    if plan.fault.is_some() {
+        return None;
+    }
+    let reply = build_reply(inner, plan, |ctx| {
+        inner.proxy.try_serve_memory_hit(&plan.url, ctx).map(Ok)
+    })?;
+    Some(inner.encode_counted(&reply))
+}
+
+/// Builds the reply frame for `plan` around `serve`, on behalf of both
+/// paths: the `shard.serve` span (its id allocated first so the
+/// proxy's spans parent under it), response/error stats and
+/// `net.server.serve_ns`. `None` when `serve` declines, in which case
+/// nothing is counted or traced.
+fn build_reply(
+    inner: &Inner,
+    plan: &ExecPlan,
+    serve: impl FnOnce(&RequestContext) -> Option<Result<ServedResponse, ProxyError>>,
+) -> Option<Frame> {
     let recorder = inner.telemetry.recorder();
     let serve_start = recorder.now_ns();
     let serve_span = plan.trace.map(|t| (t, SpanId::generate()));
     let ctx = RequestContext {
-        client: plan.client,
-        principal: plan.principal,
+        client: plan.client.clone(),
+        principal: plan.principal.clone(),
         url: plan.url.clone(),
         trace: serve_span.map(|(t, id)| TraceContext {
             trace: t.trace,
             parent: id,
         }),
     };
-    let mut reply = match inner.proxy.handle_request_detailed(&plan.url, &ctx) {
+    let reply = match serve(&ctx)? {
         Ok(response) => {
             inner.stats.lock().responses += 1;
             Frame::CodeResponse {
@@ -397,38 +463,5 @@ pub(crate) fn execute_plan(inner: &Inner, plan: ExecPlan) -> ExecOutput {
             serve_duration,
         );
     }
-    match plan.fault {
-        Some(FaultAction::Corrupt) => {
-            // Flip one byte in the middle of the payload: the frame
-            // still parses, so only the client's signature check can
-            // catch the damage.
-            if let Frame::CodeResponse { bytes, .. } = &mut reply {
-                if !bytes.is_empty() {
-                    let mid = bytes.len() / 2;
-                    bytes[mid] ^= 0xFF;
-                }
-            }
-            ExecOutput {
-                bytes: inner.encode_counted(&reply),
-                close: false,
-            }
-        }
-        Some(FaultAction::Truncate(n)) => {
-            // Deliver a strict prefix of the encoded frame, then die:
-            // the client must see a mid-frame truncation, never a
-            // short-but-clean close.
-            let encoded = reply.encode();
-            let cut = n.clamp(1, encoded.len().saturating_sub(1));
-            inner.metrics.frames_out.inc();
-            inner.metrics.bytes_out.add(cut as u64);
-            ExecOutput {
-                bytes: encoded[..cut].to_vec(),
-                close: true,
-            }
-        }
-        _ => ExecOutput {
-            bytes: inner.encode_counted(&reply),
-            close: false,
-        },
-    }
+    Some(reply)
 }

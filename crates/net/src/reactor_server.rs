@@ -8,6 +8,15 @@
 //! (the one blocking step) is deferred to the reactor's worker pool so
 //! ten thousand idle connections cost buffers, not threads.
 //!
+//! Warm fetches skip the pool. A `CODE_REQUEST` is answered on the loop
+//! thread itself when all of these hold: no fault is planned for it,
+//! its url is resident in the proxy's memory tier, and the cache lock
+//! is free at that instant (`try_lock`). None of those checks can wait
+//! — the disk tier is never read and a lock held by a rewrite's store
+//! write is not waited for — so the loop never blocks on the rewrite
+//! path. Everything else (misses, disk hits, faults, a busy lock) is
+//! deferred exactly as before.
+//!
 //! Overload semantics match the blocking engine: a connection beyond
 //! `max_connections` is still accepted, its first complete frame is
 //! read, and it gets a typed `Overloaded` error before the close — the
@@ -20,7 +29,7 @@ use dvm_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 use crate::assembler::peek_frame;
 use crate::frame::{ErrorCode, Frame};
-use crate::protocol::{execute_plan, handle_frame, ConnProto, Flow};
+use crate::protocol::{execute_plan, handle_frame, try_execute_inline, ConnProto, Flow};
 use crate::server::Inner;
 
 /// Per-connection state on the reactor: protocol state plus the
@@ -129,6 +138,12 @@ impl dvm_reactor::Handler for NetHandler {
             Flow::Close => io.close_after_flush(),
             Flow::Kill => io.close(),
             Flow::Execute(plan) => {
+                // A memory hit is answered here, in order with the
+                // replies above.
+                if let Some(bytes) = try_execute_inline(&self.inner, &plan) {
+                    io.send(&bytes);
+                    return;
+                }
                 // The blocking step — rewrite pipeline, store I/O,
                 // injected delays — runs on the pool; the loop stops
                 // consuming this connection's frames until the output

@@ -203,9 +203,8 @@ impl RewriteCache {
     /// Looks up `key`, reporting which tier answered. Disk hits are
     /// promoted to memory.
     pub fn get(&mut self, key: &str) -> Option<(Arc<[u8]>, CacheTier)> {
-        if let Some(v) = self.memory.get(key) {
-            self.stats.memory_hits += 1;
-            return Some((Arc::clone(v), CacheTier::Memory));
+        if let Some(v) = self.get_memory(key) {
+            return Some((v, CacheTier::Memory));
         }
         if let Some(v) = self.disk_get(key) {
             self.stats.disk_hits += 1;
@@ -214,6 +213,18 @@ impl RewriteCache {
         }
         self.stats.misses += 1;
         None
+    }
+
+    /// Looks up `key` in the memory tier only, counting a memory hit
+    /// when it answers. Never touches the disk tier, and a miss counts
+    /// nothing: the caller falls back to [`get`], which does the
+    /// accounting for the full lookup.
+    ///
+    /// [`get`]: RewriteCache::get
+    pub fn get_memory(&mut self, key: &str) -> Option<Arc<[u8]>> {
+        let v = Arc::clone(self.memory.get(key)?);
+        self.stats.memory_hits += 1;
+        Some(v)
     }
 
     /// Inserts a rewritten class.

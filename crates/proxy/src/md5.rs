@@ -27,56 +27,121 @@ const K: [u32; 64] = [
 
 /// Computes the MD5 digest of `data`.
 pub fn md5(data: &[u8]) -> [u8; 16] {
-    let mut a0: u32 = 0x6745_2301;
-    let mut b0: u32 = 0xefcd_ab89;
-    let mut c0: u32 = 0x98ba_dcfe;
-    let mut d0: u32 = 0x1032_5476;
+    let mut h = Md5::new();
+    h.update(data);
+    h.finalize()
+}
 
-    // Padding: 0x80, zeros, then the 64-bit little-endian bit length.
-    let mut msg = data.to_vec();
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+/// Streaming MD5: feed input in any number of [`Md5::update`] calls,
+/// then [`Md5::finalize`]. Only a partial block (at most 63 bytes) is
+/// ever buffered; whole blocks are compressed straight from the
+/// caller's slice, so hashing never copies its input.
+#[derive(Debug, Clone)]
+pub struct Md5 {
+    state: [u32; 4],
+    buf: [u8; 64],
+    buf_len: usize,
+    len: u64,
+}
+
+impl Default for Md5 {
+    fn default() -> Self {
+        Md5::new()
     }
-    msg.extend_from_slice(&bit_len.to_le_bytes());
+}
 
-    for chunk in msg.chunks_exact(64) {
-        let mut m = [0u32; 16];
-        for (i, w) in m.iter_mut().enumerate() {
-            *w = u32::from_le_bytes([
-                chunk[4 * i],
-                chunk[4 * i + 1],
-                chunk[4 * i + 2],
-                chunk[4 * i + 3],
-            ]);
+impl Md5 {
+    /// A fresh digest state.
+    pub fn new() -> Md5 {
+        Md5 {
+            state: [0x6745_2301, 0xefcd_ab89, 0x98ba_dcfe, 0x1032_5476],
+            buf: [0; 64],
+            buf_len: 0,
+            len: 0,
         }
-        let (mut a, mut b, mut c, mut d) = (a0, b0, c0, d0);
-        for i in 0..64 {
-            let (f, g) = match i {
-                0..=15 => ((b & c) | (!b & d), i),
-                16..=31 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                32..=47 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let f2 = f.wrapping_add(a).wrapping_add(K[i]).wrapping_add(m[g]);
-            a = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(f2.rotate_left(S[i]));
-        }
-        a0 = a0.wrapping_add(a);
-        b0 = b0.wrapping_add(b);
-        c0 = c0.wrapping_add(c);
-        d0 = d0.wrapping_add(d);
     }
 
-    let mut out = [0u8; 16];
-    out[0..4].copy_from_slice(&a0.to_le_bytes());
-    out[4..8].copy_from_slice(&b0.to_le_bytes());
-    out[8..12].copy_from_slice(&c0.to_le_bytes());
-    out[12..16].copy_from_slice(&d0.to_le_bytes());
-    out
+    /// Absorbs `data`.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.len = self.len.wrapping_add(data.len() as u64);
+        if self.buf_len > 0 {
+            let take = (64 - self.buf_len).min(data.len());
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
+            self.buf_len += take;
+            data = &data[take..];
+            if self.buf_len < 64 {
+                return;
+            }
+            let block = self.buf;
+            compress(&mut self.state, &block);
+            self.buf_len = 0;
+        }
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
+        }
+        let rest = blocks.remainder();
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
+    }
+
+    /// Pads, compresses the final block(s) and returns the digest.
+    pub fn finalize(mut self) -> [u8; 16] {
+        // Padding: 0x80, zeros, then the 64-bit little-endian bit length.
+        let bit_len = self.len.wrapping_mul(8);
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        // Enough zeros that the length field starts at 56 mod 64.
+        let zeros = (64 + 55 - self.buf_len) % 64;
+        pad[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_le_bytes());
+        self.update(&pad[..9 + zeros]);
+        debug_assert_eq!(self.buf_len, 0);
+        let mut out = [0u8; 16];
+        for (o, w) in out.chunks_exact_mut(4).zip(self.state) {
+            o.copy_from_slice(&w.to_le_bytes());
+        }
+        out
+    }
+}
+
+/// One MD5 step: `b + ((a + f + k + m) <<< s)`.
+#[inline(always)]
+fn step(a: u32, b: u32, f: u32, m: u32, k: u32, s: u32) -> u32 {
+    b.wrapping_add(
+        f.wrapping_add(a)
+            .wrapping_add(k)
+            .wrapping_add(m)
+            .rotate_left(s),
+    )
+}
+
+/// One MD5 compression over a 64-byte block. Each of the four rounds
+/// is its own loop, so no step branches on which round it is in.
+fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    let mut m = [0u32; 16];
+    for (w, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    let [mut a, mut b, mut c, mut d] = *state;
+    for i in 0..16 {
+        let t = step(a, b, (b & c) | (!b & d), m[i], K[i], S[i]);
+        (a, d, c, b) = (d, c, b, t);
+    }
+    for i in 16..32 {
+        let t = step(a, b, (d & b) | (!d & c), m[(5 * i + 1) % 16], K[i], S[i]);
+        (a, d, c, b) = (d, c, b, t);
+    }
+    for i in 32..48 {
+        let t = step(a, b, b ^ c ^ d, m[(3 * i + 5) % 16], K[i], S[i]);
+        (a, d, c, b) = (d, c, b, t);
+    }
+    for i in 48..64 {
+        let t = step(a, b, c ^ (b | !d), m[(7 * i) % 16], K[i], S[i]);
+        (a, d, c, b) = (d, c, b, t);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+        *s = s.wrapping_add(v);
+    }
 }
 
 /// Renders a digest as lowercase hex.
@@ -125,6 +190,30 @@ mod tests {
             let mut tweaked = data.clone();
             tweaked[len / 2] ^= 1;
             assert_ne!(md5(&tweaked), d1, "len {len}");
+        }
+    }
+
+    #[test]
+    fn split_updates_match_one_shot() {
+        let data: Vec<u8> = (0..=200u32).map(|i| (i * 31 + 7) as u8).collect();
+        for len in 0..=200 {
+            let input = &data[..len];
+            let expected = md5(input);
+            for chunk in [1usize, 3, 7, 55, 63, 64, 65, 128] {
+                let mut h = Md5::new();
+                for piece in input.chunks(chunk) {
+                    h.update(piece);
+                }
+                assert_eq!(h.finalize(), expected, "len {len}, chunk {chunk}");
+            }
+            // Uneven cut points, including empty updates.
+            let mut h = Md5::new();
+            let (a, rest) = input.split_at(len / 3);
+            let (b, c) = rest.split_at(rest.len() / 2);
+            for piece in [a, &[][..], b, c, &[][..]] {
+                h.update(piece);
+            }
+            assert_eq!(h.finalize(), expected, "len {len}, thirds");
         }
     }
 }

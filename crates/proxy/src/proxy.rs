@@ -8,6 +8,7 @@
 //! many client sessions can drive one proxy concurrently (the §4.2 scaling
 //! experiment).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -16,7 +17,8 @@ use parking_lot::Mutex;
 use dvm_classfile::ClassFile;
 use dvm_netsim::CycleModel;
 use dvm_store::{Store, StoreStats};
-use dvm_telemetry::{Counter, Histogram, SpanId, Telemetry};
+use dvm_telemetry::trace::DEFAULT_RECORDER_CAPACITY;
+use dvm_telemetry::{Counter, Histogram, SpanId, Telemetry, TraceContext};
 
 use crate::cache::{CacheExportPage, CacheStats, CacheTier, RewriteCache};
 use crate::filter::{FilterError, Pipeline, RequestContext};
@@ -221,6 +223,34 @@ pub struct ProxyAuditRecord {
     pub processing_ns: u64,
 }
 
+/// The bounded audit trail: the newest records, as many as the flight
+/// recorder keeps spans ([`DEFAULT_RECORDER_CAPACITY`]), plus a count
+/// of every record ever written. A proxy serves without end, so an
+/// unbounded trail would grow its resident set with every request.
+#[derive(Debug, Default)]
+struct AuditTrail {
+    records: VecDeque<ProxyAuditRecord>,
+    total: u64,
+}
+
+impl AuditTrail {
+    fn push(&mut self, record: ProxyAuditRecord) {
+        if self.records.len() == DEFAULT_RECORDER_CAPACITY {
+            self.records.pop_front();
+        }
+        self.records.push_back(record);
+        self.total += 1;
+    }
+}
+
+/// One request between [`Proxy::begin`] and [`Proxy::end`]: its wall
+/// clock and, when traced, the caller's context plus this request's
+/// `proxy.handle` span id and start.
+struct Handling {
+    wall: Instant,
+    span: Option<(TraceContext, SpanId, u64)>,
+}
+
 /// Aggregate proxy statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProxyStats {
@@ -306,7 +336,7 @@ pub struct Proxy {
     rewrite_cost: RewriteCost,
     peer: parking_lot::RwLock<Option<Arc<dyn PeerCache>>>,
     ir_producer: parking_lot::RwLock<Option<Arc<dyn IrProducer>>>,
-    audit: Mutex<Vec<ProxyAuditRecord>>,
+    audit: Mutex<AuditTrail>,
     stats: Mutex<ProxyStats>,
     telemetry: Arc<Telemetry>,
     metrics: ProxyMetrics,
@@ -346,7 +376,7 @@ impl Proxy {
             rewrite_cost: RewriteCost::default(),
             peer: parking_lot::RwLock::new(None),
             ir_producer: parking_lot::RwLock::new(None),
-            audit: Mutex::new(Vec::new()),
+            audit: Mutex::new(AuditTrail::default()),
             stats: Mutex::new(ProxyStats::default()),
             telemetry,
             metrics,
@@ -424,27 +454,58 @@ impl Proxy {
         url: &str,
         ctx: &RequestContext,
     ) -> Result<ServedResponse, ProxyError> {
-        let wall = Instant::now();
+        let handling = self.begin(ctx);
+        let result = self.serve(url, ctx, handling.span.map(|(t, id, _)| (t.trace, id)));
+        self.end(handling, result.is_ok());
+        result
+    }
+
+    /// Serves `url` only when it is a memory-tier hit right now, with
+    /// exactly the accounting a hit gets from
+    /// [`Proxy::handle_request_detailed`]. It never waits: the cache
+    /// lock is only tried (a rewrite holds it across its store write),
+    /// and the disk tier is never read. `None` — caching off, lock
+    /// busy, or not memory-resident — counts nothing, and the caller
+    /// serves the request the blocking way.
+    pub fn try_serve_memory_hit(&self, url: &str, ctx: &RequestContext) -> Option<ServedResponse> {
+        if !self.caching {
+            return None;
+        }
+        let handling = self.begin(ctx);
+        let bytes = self.cache.try_lock()?.get_memory(url)?;
+        let response = self.serve_hit(url, ctx, bytes, CacheTier::Memory);
+        self.end(handling, true);
+        Some(response)
+    }
+
+    /// Starts a request's clock and, when it is traced, allocates its
+    /// `proxy.handle` span so child spans can parent under it. Counts
+    /// nothing.
+    fn begin(&self, ctx: &RequestContext) -> Handling {
+        Handling {
+            wall: Instant::now(),
+            span: ctx
+                .trace
+                .map(|t| (t, SpanId::generate(), self.telemetry.recorder().now_ns())),
+        }
+    }
+
+    /// Accounts one handled request: counts it (and its error), records
+    /// its wall time and closes its `proxy.handle` span.
+    fn end(&self, handling: Handling, ok: bool) {
+        self.stats.lock().requests += 1;
         self.metrics.requests.inc();
-        // When the request carries a trace, the whole serve is one
-        // "proxy.handle" span; its id is allocated up front so the
-        // per-stage and origin-fetch child spans can parent under it.
-        let handle = ctx
-            .trace
-            .map(|t| (t, SpanId::generate(), self.telemetry.recorder().now_ns()));
-        let result = self.serve(url, ctx, handle.map(|(t, id, _)| (t.trace, id)));
-        if result.is_err() {
+        if !ok {
             self.metrics.errors.inc();
         }
         self.metrics
             .request_ns
-            .record(wall.elapsed().as_nanos() as u64);
-        if let Some((t, id, start)) = handle {
+            .record(handling.wall.elapsed().as_nanos() as u64);
+        if let Some((t, id, start)) = handling.span {
             let rec = self.telemetry.recorder();
             let duration = rec.now_ns().saturating_sub(start);
             rec.record_span(t.trace, id, t.parent, "proxy.handle", start, duration);
         }
-        result
     }
 
     /// The serve path proper; `span` is `(trace, parent-for-children)`
@@ -455,29 +516,10 @@ impl Proxy {
         ctx: &RequestContext,
         span: Option<(dvm_telemetry::TraceId, SpanId)>,
     ) -> Result<ServedResponse, ProxyError> {
-        self.stats.lock().requests += 1;
         if self.caching {
-            if let Some((bytes, tier)) = self.cache.lock().get(url) {
-                let served_from = match tier {
-                    CacheTier::Memory => {
-                        self.metrics.cache_hit_memory.inc();
-                        ServedFrom::MemoryCache
-                    }
-                    CacheTier::Disk => {
-                        self.metrics.cache_hit_disk.inc();
-                        ServedFrom::DiskCache
-                    }
-                };
-                if url.starts_with(IR_SCHEME) {
-                    self.stats.lock().ir_served += 1;
-                    self.metrics.ir_served.inc();
-                }
-                self.finish(url, ctx, &bytes, served_from, 0);
-                return Ok(ServedResponse {
-                    bytes,
-                    served_from,
-                    processing_ns: 0,
-                });
+            let hit = self.cache.lock().get(url);
+            if let Some((bytes, tier)) = hit {
+                return Ok(self.serve_hit(url, ctx, bytes, tier));
             }
             self.metrics.cache_miss.inc();
         }
@@ -498,16 +540,7 @@ impl Proxy {
                         Arc::clone(&bytes),
                         CacheTier::Memory,
                     );
-                    if url.starts_with(IR_SCHEME) {
-                        self.stats.lock().ir_served += 1;
-                        self.metrics.ir_served.inc();
-                    }
-                    self.finish(url, ctx, &bytes, ServedFrom::Peer, 0);
-                    return Ok(ServedResponse {
-                        bytes,
-                        served_from: ServedFrom::Peer,
-                        processing_ns: 0,
-                    });
+                    return Ok(self.served(url, ctx, bytes, ServedFrom::Peer));
                 }
             }
         }
@@ -671,6 +704,52 @@ impl Proxy {
         }
     }
 
+    /// A cache hit from either tier: the tier's hit counter, then
+    /// [`Proxy::served`]. The one hit branch behind both
+    /// [`Proxy::handle_request_detailed`] and
+    /// [`Proxy::try_serve_memory_hit`].
+    fn serve_hit(
+        &self,
+        url: &str,
+        ctx: &RequestContext,
+        bytes: Arc<[u8]>,
+        tier: CacheTier,
+    ) -> ServedResponse {
+        let served_from = match tier {
+            CacheTier::Memory => {
+                self.metrics.cache_hit_memory.inc();
+                ServedFrom::MemoryCache
+            }
+            CacheTier::Disk => {
+                self.metrics.cache_hit_disk.inc();
+                ServedFrom::DiskCache
+            }
+        };
+        self.served(url, ctx, bytes, served_from)
+    }
+
+    /// Answers with bytes that were rewritten earlier (a cache tier or a
+    /// peer shard): `ir://` serve accounting and the audit record, with
+    /// no processing charge.
+    fn served(
+        &self,
+        url: &str,
+        ctx: &RequestContext,
+        bytes: Arc<[u8]>,
+        served_from: ServedFrom,
+    ) -> ServedResponse {
+        if url.starts_with(IR_SCHEME) {
+            self.stats.lock().ir_served += 1;
+            self.metrics.ir_served.inc();
+        }
+        self.finish(url, ctx, &bytes, served_from, 0);
+        ServedResponse {
+            bytes,
+            served_from,
+            processing_ns: 0,
+        }
+    }
+
     fn finish(
         &self,
         url: &str,
@@ -777,9 +856,16 @@ impl Proxy {
         }
     }
 
-    /// Snapshot of the audit trail.
+    /// Snapshot of the audit trail: the newest records (at most
+    /// [`DEFAULT_RECORDER_CAPACITY`]), oldest first.
     pub fn audit_trail(&self) -> Vec<ProxyAuditRecord> {
-        self.audit.lock().clone()
+        self.audit.lock().records.iter().cloned().collect()
+    }
+
+    /// Audit records written since the proxy started, including those
+    /// the bounded trail has since dropped.
+    pub fn audit_total(&self) -> u64 {
+        self.audit.lock().total
     }
 }
 
@@ -1222,5 +1308,156 @@ mod tests {
         }
         assert_eq!(proxy.stats().requests, 400);
         assert_eq!(proxy.stats().rewrites, 1, "only the first request rewrites");
+    }
+
+    #[test]
+    fn audit_trail_keeps_the_newest_records_and_counts_them_all() {
+        let proxy = Proxy::new(
+            Box::new(origin_with("t/A", "u")),
+            null_pipeline(),
+            1 << 20,
+            true,
+            None,
+        );
+        let extra = 10;
+        let total = DEFAULT_RECORDER_CAPACITY + extra;
+        for i in 0..total {
+            let ctx = RequestContext {
+                client: format!("c{i}"),
+                ..Default::default()
+            };
+            proxy.handle_request("u", &ctx).unwrap();
+        }
+        let trail = proxy.audit_trail();
+        assert_eq!(trail.len(), DEFAULT_RECORDER_CAPACITY);
+        assert_eq!(proxy.audit_total(), total as u64);
+        // The oldest `extra` records (the rewrite among them) are gone;
+        // the rest are the newest, in arrival order.
+        for (k, record) in trail.iter().enumerate() {
+            assert_eq!(record.client, format!("c{}", k + extra));
+            assert_eq!(record.served_from, ServedFrom::MemoryCache);
+        }
+    }
+
+    #[test]
+    fn memory_hit_fast_path_accounts_like_the_blocking_path() {
+        use dvm_telemetry::{TraceContext, TraceId};
+        let make = || {
+            let proxy = Proxy::new(
+                Box::new(origin_with("t/F", "u")),
+                null_pipeline(),
+                1 << 20,
+                true,
+                None,
+            );
+            proxy
+                .handle_request_detailed("u", &RequestContext::default())
+                .unwrap();
+            proxy
+        };
+        let trace = TraceId::generate();
+        let ctx = RequestContext {
+            trace: Some(TraceContext {
+                trace,
+                parent: SpanId::NONE,
+            }),
+            ..Default::default()
+        };
+        let blocking = make();
+        let fast = make();
+        let a = blocking.handle_request_detailed("u", &ctx).unwrap();
+        let b = fast.try_serve_memory_hit("u", &ctx).unwrap();
+        assert_eq!(a.served_from, ServedFrom::MemoryCache);
+        assert_eq!(b.served_from, ServedFrom::MemoryCache);
+        assert_eq!(&a.bytes[..], &b.bytes[..]);
+
+        let (sa, sb) = (blocking.stats(), fast.stats());
+        assert_eq!(
+            (sa.requests, sa.bytes_served),
+            (sb.requests, sb.bytes_served)
+        );
+        assert_eq!(blocking.cache_stats(), fast.cache_stats());
+        let (ra, rb) = (
+            blocking.telemetry().registry().snapshot(),
+            fast.telemetry().registry().snapshot(),
+        );
+        assert_eq!(ra.counters, rb.counters);
+        assert_eq!(
+            ra.histograms["proxy.request_ns"].count,
+            rb.histograms["proxy.request_ns"].count
+        );
+        assert_eq!(blocking.audit_total(), fast.audit_total());
+        let spans = fast.telemetry().recorder().for_trace(trace);
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["proxy.handle"]);
+    }
+
+    #[test]
+    fn memory_hit_fast_path_never_waits_and_never_reads_disk() {
+        let proxy = Proxy::new(
+            Box::new(origin_with("t/N", "u")),
+            null_pipeline(),
+            1 << 20,
+            true,
+            None,
+        );
+        let ctx = RequestContext::default();
+        // Not cached at all.
+        assert!(proxy.try_serve_memory_hit("u", &ctx).is_none());
+        proxy.handle_request_detailed("u", &ctx).unwrap();
+        let before = (
+            proxy.stats().requests,
+            proxy.cache_stats(),
+            proxy.audit_total(),
+        );
+
+        // Memory-resident, but the cache lock is held (as a rewrite
+        // holds it across its store write): declined, nothing counted.
+        {
+            let _held = proxy.cache.lock();
+            assert!(proxy.try_serve_memory_hit("u", &ctx).is_none());
+        }
+        // A disk-tier-only entry is declined too, and left unpromoted.
+        proxy.cache_fill("d", vec![1, 2, 3], CacheTier::Disk);
+        assert!(proxy.try_serve_memory_hit("d", &ctx).is_none());
+        assert_eq!(
+            (
+                proxy.stats().requests,
+                proxy.cache_stats(),
+                proxy.audit_total()
+            ),
+            before
+        );
+        let snap = proxy.telemetry().registry().snapshot();
+        assert_eq!(snap.counter("proxy.requests"), 1);
+        assert_eq!(snap.counter("proxy.cache.hit.memory"), 0);
+        assert_eq!(snap.counter("proxy.cache.hit.disk"), 0);
+
+        // Once the lock is free the same request is served inline.
+        let served = proxy.try_serve_memory_hit("u", &ctx).unwrap();
+        assert_eq!(served.served_from, ServedFrom::MemoryCache);
+        assert_eq!(proxy.cache_stats().memory_hits, 1);
+        assert_eq!(
+            proxy
+                .handle_request_detailed("d", &ctx)
+                .unwrap()
+                .served_from,
+            ServedFrom::DiskCache
+        );
+    }
+
+    #[test]
+    fn memory_hit_fast_path_is_off_without_caching() {
+        let proxy = Proxy::new(
+            Box::new(origin_with("t/O", "u")),
+            null_pipeline(),
+            1 << 20,
+            false,
+            None,
+        );
+        let ctx = RequestContext::default();
+        proxy.handle_request_detailed("u", &ctx).unwrap();
+        assert!(proxy.try_serve_memory_hit("u", &ctx).is_none());
+        assert_eq!(proxy.stats().requests, 1);
     }
 }

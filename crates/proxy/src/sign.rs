@@ -6,7 +6,7 @@
 //! use an HMAC-style nested keyed digest over MD5; clients redirect
 //! incorrectly signed or unsigned code back to the centralized services.
 
-use crate::md5::md5;
+use crate::md5::Md5;
 
 /// Length of an attached signature.
 pub const TAG_LEN: usize = 16;
@@ -34,14 +34,16 @@ impl Signer {
         Signer { key: key.to_vec() }
     }
 
-    /// Computes the tag for `data` (HMAC-style nested construction).
+    /// Computes the tag for `data` (HMAC-style nested construction),
+    /// streaming key then data so `key‖data` is never materialized.
     pub fn tag(&self, data: &[u8]) -> [u8; TAG_LEN] {
-        let mut inner = self.key.clone();
-        inner.extend_from_slice(data);
-        let inner_digest = md5(&inner);
-        let mut outer = self.key.clone();
-        outer.extend_from_slice(&inner_digest);
-        md5(&outer)
+        let mut inner = Md5::new();
+        inner.update(&self.key);
+        inner.update(data);
+        let mut outer = Md5::new();
+        outer.update(&self.key);
+        outer.update(&inner.finalize());
+        outer.finalize()
     }
 
     /// Appends the tag to `data`, producing the signed wire form.
@@ -101,5 +103,22 @@ mod tests {
     fn short_input_is_unsigned() {
         let s = Signer::new(b"k");
         assert_eq!(s.detach(&[1, 2, 3]).0, SignatureCheck::Unsigned);
+    }
+
+    /// Pins the wire format: these tags were computed by the original
+    /// `md5(key ‖ md5(key ‖ data))` construction, so a change to the
+    /// streaming signer that alters a single tag bit fails here.
+    #[test]
+    fn tag_matches_the_pinned_wire_format() {
+        let s = Signer::new(b"dvm-org-key");
+        let data: Vec<u8> = (0..1000u32).map(|i| ((i * 37 + 11) % 256) as u8).collect();
+        assert_eq!(
+            crate::md5::hex(&s.tag(&data)),
+            "d688ce502ed1be69730977077c646c8c"
+        );
+        assert_eq!(
+            crate::md5::hex(&s.tag(&[])),
+            "334a05b25eec5410ee90b196f8466256"
+        );
     }
 }

@@ -535,11 +535,16 @@ impl<H: Handler> LoopState<H> {
     }
 
     fn submit_jobs(&mut self) {
-        if !self.pending_jobs.is_empty() {
+        let jobs = self.pending_jobs.len();
+        if jobs > 0 {
             let mut guard = self.pool.queue.lock().unwrap();
             guard.0.extend(self.pending_jobs.drain(..));
             drop(guard);
-            self.pool.cv.notify_all();
+            // One wake per job: waking the whole pool for one job only
+            // sends the other workers back to sleep on an empty queue.
+            for _ in 0..jobs {
+                self.pool.cv.notify_one();
+            }
         }
     }
 
