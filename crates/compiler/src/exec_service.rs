@@ -1,21 +1,21 @@
 //! Proxy-side compilation service for the optimizing execution tier.
 //!
-//! Where [`crate::service::NetworkCompiler`] models the paper's §3.4
-//! per-platform native compiler, this service feeds the *portable*
-//! register-IR tier (`dvm-exec`): it parses a served class, lowers and
-//! optimizes every method, and returns the wire-encoded IR package the
-//! client VM installs next to the class. Results are cached per rewrite
-//! signature — the MD5 the proxy already computes over the signed served
-//! payload — so one compilation is amortized across every client in the
-//! organization that fetches the same rewrite.
+//! This service and [`crate::service::NetworkCompiler`] share one
+//! lowering and pass pipeline, [`dvm_exec::compile_class`]. The network
+//! compiler then costs the optimized IR per native target (the paper's
+//! §3.4); this service ships the IR itself to the *portable* register-IR
+//! tier: it parses a served class, compiles it, and returns the
+//! wire-encoded IR package the client VM installs next to the class.
+//! Results are cached per rewrite signature — the MD5 the proxy already
+//! computes over the signed served payload — so one compilation is
+//! amortized across every client in the organization that fetches the
+//! same rewrite.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use dvm_classfile::ClassFile;
-use dvm_exec::{compile_class, encode, PassStats};
-
-use crate::error::{CompileError, Result};
+use dvm_exec::{compile_class, encode, PassStats, Result};
 
 /// Simulated cycles charged per emitted IR instruction. The pass
 /// pipeline is cheaper than full native lowering (no register allocation
@@ -80,8 +80,7 @@ impl ExecCompiler {
             return Ok(pkg.clone());
         }
         let cf = ClassFile::parse(class_bytes)?;
-        let (ir, cs) = compile_class(&cf)
-            .map_err(|e| CompileError::Unsupported(format!("IR lowering failed: {e}")))?;
+        let (ir, cs) = compile_class(&cf)?;
         let ir_insns: usize = ir.methods.iter().map(|f| f.insns.len()).sum();
         let compile_cycles = ir_insns as u64 * IR_COMPILE_CYCLES_PER_INSN;
         let pkg = Arc::new(IrPackage {

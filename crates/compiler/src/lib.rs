@@ -6,22 +6,17 @@
 //! client native format (learned from the monitoring handshake) and
 //! amortized across the organization via an image cache.
 //!
-//! Pipeline: decode bytecode → [`translate`] to a register IR →
-//! [`opt::optimize`] (constant folding, copy propagation, dead-code
-//! elimination) → [`target::lower`] to a simulated x86 or Alpha image.
+//! Pipeline: [`dvm_exec::compile_class`] lowers verified bytecode to the
+//! execution tier's register IR and runs its pass pipeline (service
+//! inlining, constant folding, copy propagation, dead-code elimination);
+//! [`target::lower`] then costs each optimized method as a simulated x86
+//! or Alpha image. [`ExecCompiler`] serves the same optimized IR to
+//! clients' portable execution tier.
 
-pub mod error;
 pub mod exec_service;
-pub mod ir;
-pub mod opt;
 pub mod service;
 pub mod target;
-pub mod translate;
 
-pub use error::{CompileError, Result};
 pub use exec_service::{ExecCompiler, ExecCompilerStats, IrPackage, IR_COMPILE_CYCLES_PER_INSN};
-pub use ir::{BinOp, Cond, IrBody, IrConst, IrInsn, Reg};
-pub use opt::{optimize, OptStats};
 pub use service::{ClassImage, CompilerStats, NetworkCompiler};
 pub use target::{lower, NativeMethod, Target};
-pub use translate::translate as translate_method;

@@ -6,18 +6,21 @@
 //! benefit all clients in an organization." The service compiles whole
 //! classes per target, caches the images, and reports amortization
 //! statistics.
+//!
+//! Each class goes through the same lowering and pass pipeline as the
+//! optimizing execution tier ([`dvm_exec::compile_class`]); only the
+//! final step, [`lower`], is per target. A method `dvm-exec` declines
+//! stays on the interpreter: it gets no image and is counted in
+//! [`CompileStats::skipped`].
 
 use std::collections::HashMap;
 
-use dvm_bytecode::Code;
 use dvm_classfile::ClassFile;
+use dvm_exec::{compile_class, CompileStats, Result};
 
-use crate::error::Result;
-use crate::opt::{optimize, OptStats};
 use crate::target::{lower, NativeMethod, Target};
-use crate::translate::translate;
 
-/// A compiled class: one native image per method.
+/// A compiled class: one native image per lowered method.
 #[derive(Debug, Clone)]
 pub struct ClassImage {
     /// Class internal name.
@@ -26,8 +29,8 @@ pub struct ClassImage {
     pub target: Target,
     /// Lowered methods.
     pub methods: Vec<NativeMethod>,
-    /// Aggregate optimization statistics.
-    pub opt_stats: OptStats,
+    /// Methods lowered and skipped, and the pass pipeline's work.
+    pub compile_stats: CompileStats,
     /// Simulated cycles the compilation itself cost (charged to the
     /// server).
     pub compile_cycles: u64,
@@ -76,27 +79,18 @@ impl NetworkCompiler {
             self.stats.cache_hits += 1;
             return Ok(img.clone());
         }
-        let mut methods = Vec::new();
-        let mut opt_total = OptStats::default();
-        let mut compile_cycles = 0u64;
-        for m in &cf.methods {
-            let Some(attr) = m.code() else { continue };
-            let mname = m.name(&cf.pool)?;
-            let mdesc = m.descriptor(&cf.pool)?;
-            let code = Code::decode(attr)?;
-            compile_cycles += code.insns.len() as u64 * COMPILE_CYCLES_PER_INSN;
-            let mut ir = translate(&code, &cf.pool, &format!("{class}.{mname}:{mdesc}"))?;
-            let s = optimize(&mut ir);
-            opt_total.folded += s.folded;
-            opt_total.copies_propagated += s.copies_propagated;
-            opt_total.dead_removed += s.dead_removed;
-            methods.push(lower(&ir, target));
-        }
+        let (ir, compile_stats) = compile_class(cf)?;
+        let methods = ir
+            .methods
+            .iter()
+            .map(|f| lower(&class, f, target))
+            .collect();
+        let compile_cycles = compile_stats.bytecode_insns as u64 * COMPILE_CYCLES_PER_INSN;
         let img = ClassImage {
             class: class.clone(),
             target,
             methods,
-            opt_stats: opt_total,
+            compile_stats,
             compile_cycles,
         };
         self.stats.compilations += 1;
@@ -116,7 +110,8 @@ mod tests {
     use super::*;
     use dvm_bytecode::asm::Asm;
     use dvm_bytecode::insn::Kind;
-    use dvm_classfile::{AccessFlags, Attribute, ClassBuilder, MemberInfo};
+    use dvm_bytecode::{Code, Insn};
+    use dvm_classfile::{AccessFlags, Attribute, ClassBuilder, ConstPool, MemberInfo};
 
     fn sample_class() -> ClassFile {
         let mut cf = ClassBuilder::new("t/Calc").build();
@@ -145,7 +140,7 @@ mod tests {
         let cf = sample_class();
         let img1 = nc.compile(&cf, Target::X86).unwrap();
         assert_eq!(img1.methods.len(), 1);
-        assert!(img1.opt_stats.folded >= 1, "2+3 should fold");
+        assert!(img1.compile_stats.passes.folded >= 1, "2+3 should fold");
         assert!(img1.compile_cycles > 0);
 
         // Second client, same target: amortized.
@@ -158,5 +153,42 @@ mod tests {
         assert_eq!(nc.stats.compilations, 2);
         assert_ne!(img1.total_size(), img2.total_size());
         assert_eq!(nc.cache_size(), 2);
+    }
+
+    #[test]
+    fn declined_methods_stay_interpreted_without_failing_the_class() {
+        let pool = ConstPool::new();
+        // A `jsr` subroutine, which `dvm-exec` does not lower.
+        let jsr = Code {
+            insns: vec![
+                Insn::Jsr(2),
+                Insn::Return(None),
+                Insn::Store(Kind::Ref, 0),
+                Insn::Ret(0),
+            ],
+            handlers: vec![],
+            max_locals: 1,
+        };
+        let mut plain = Asm::new(1);
+        plain.iload(0).ret_val(Kind::Int);
+        let static_ = AccessFlags::PUBLIC | AccessFlags::STATIC;
+        let cf = ClassBuilder::new("t/Mixed")
+            .method(static_, "sub", "()V", jsr.encode(&pool).unwrap())
+            .method(
+                static_,
+                "id",
+                "(I)I",
+                plain.finish().unwrap().encode(&pool).unwrap(),
+            )
+            .build();
+        let mut nc = NetworkCompiler::new();
+        let img = nc.compile(&cf, Target::X86).unwrap();
+        assert_eq!(nc.cache_size(), 1);
+        assert_eq!(img.compile_stats.lowered, 1);
+        assert_eq!(img.compile_stats.skipped, 1);
+        assert_eq!(img.methods.len(), 1);
+        assert_eq!(img.methods[0].name, "t/Mixed.id:(I)I");
+        // Compile cost is charged for every decoded bytecode instruction.
+        assert_eq!(img.compile_cycles, 6 * COMPILE_CYCLES_PER_INSN);
     }
 }

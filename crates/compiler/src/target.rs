@@ -2,12 +2,12 @@
 //!
 //! The DVM ran on "x86 and DEC Alpha processors" (abstract of the paper).
 //! We model both as cost/size profiles: lowering estimates the encoded
-//! size and per-execution cycle count of each IR instruction for the
-//! requested target. The experiments need the *structure* of ahead-of-time
+//! size and per-execution cycle count of each optimized `dvm-exec`
+//! register-IR instruction for the requested target. The experiments need the *structure* of ahead-of-time
 //! compilation — per-target images, caching, amortization — not executable
 //! machine code.
 
-use crate::ir::{IrBody, IrInsn};
+use dvm_exec::{Function, RInsn};
 
 /// A compilation target named during the client handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,20 +56,43 @@ pub struct NativeMethod {
 
 /// Per-IR-instruction lowering estimate for a target:
 /// `(native_insns, bytes, cycles)`.
-fn lower_cost(insn: &IrInsn, target: Target) -> (u64, u64, u64) {
+fn lower_cost(insn: &RInsn, target: Target) -> (u64, u64, u64) {
+    use RInsn::*;
     let (insns, cycles) = match insn {
-        IrInsn::Const { .. } => (1, 1),
-        IrInsn::Move { .. } => (1, 1),
-        IrInsn::Bin { .. } => (1, 1),
-        IrInsn::Neg { .. } => (1, 1),
-        IrInsn::Convert { .. } => (1, 2),
-        IrInsn::Branch { .. } => (2, 2),
-        IrInsn::Jump { .. } => (1, 1),
-        IrInsn::Switch { arms, .. } => (2 + arms.len() as u64, 4),
-        IrInsn::Call { args, .. } => (2 + args.len() as u64, 6),
-        IrInsn::Mem { .. } => (2, 3),
-        IrInsn::Return(_) => (1, 2),
-        IrInsn::Throw(_) => (3, 10),
+        Const { .. }
+        | Move { .. }
+        | Neg { .. }
+        | Arith { .. }
+        | ArithImm { .. }
+        | Shift { .. }
+        | ShiftImm { .. }
+        | Logic { .. }
+        | LogicImm { .. }
+        | Cmp { .. } => (1, 1),
+        Convert { .. } => (1, 2),
+        If { .. } | IfRef { .. } => (2, 2),
+        Goto { .. } => (1, 1),
+        TableSwitch { targets, .. } => (2 + targets.len() as u64, 4),
+        LookupSwitch { pairs, .. } => (2 + pairs.len() as u64, 4),
+        Invoke { args, .. } => (2 + args.len() as u64, 6),
+        // Field and array access, allocation, type checks, monitors and
+        // inlined service hooks: an address computation plus the access.
+        GetStatic { .. }
+        | PutStatic { .. }
+        | GetField { .. }
+        | PutField { .. }
+        | New { .. }
+        | NewArray { .. }
+        | ANewArray { .. }
+        | ArrayLoad { .. }
+        | ArrayStore { .. }
+        | ArrayLength { .. }
+        | CheckCast { .. }
+        | InstanceOf { .. }
+        | Monitor { .. }
+        | Service { .. } => (2, 3),
+        Return { .. } => (1, 2),
+        AThrow { .. } => (3, 10),
     };
     match target {
         // x86: ~3 bytes/insn, plus occasional spill traffic from the small
@@ -83,19 +106,20 @@ fn lower_cost(insn: &IrInsn, target: Target) -> (u64, u64, u64) {
     }
 }
 
-/// Lowers an IR body to a native image for `target`.
-pub fn lower(body: &IrBody, target: Target) -> NativeMethod {
+/// Lowers an optimized method of class `class` to a native image for
+/// `target`.
+pub fn lower(class: &str, func: &Function, target: Target) -> NativeMethod {
     let mut native_insns = 0;
     let mut code_size = 0;
     let mut cycles = 0;
-    for insn in &body.insns {
+    for insn in &func.insns {
         let (i, b, c) = lower_cost(insn, target);
         native_insns += i;
         code_size += b;
         cycles += c;
     }
     NativeMethod {
-        name: body.name.clone(),
+        name: format!("{class}.{}:{}", func.name, func.descriptor),
         target,
         code_size,
         cycles_estimate: cycles,
@@ -122,35 +146,42 @@ impl NativeMethod {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{BinOp, IrConst, Reg};
+    use dvm_bytecode::insn::{ArithOp, NumKind};
+    use dvm_exec::{RConst, VReg};
 
-    fn sample() -> IrBody {
-        IrBody {
-            name: "t.f:()I".into(),
+    fn sample() -> Function {
+        Function {
+            name: "f".into(),
+            descriptor: "()I".into(),
             insns: vec![
-                IrInsn::Const {
-                    dst: Reg::Stack(0),
-                    value: IrConst::Int(2),
+                RInsn::Const {
+                    dst: VReg(0),
+                    v: RConst::Int(2),
                 },
-                IrInsn::Const {
-                    dst: Reg::Stack(1),
-                    value: IrConst::Int(3),
+                RInsn::Const {
+                    dst: VReg(1),
+                    v: RConst::Int(3),
                 },
-                IrInsn::Bin {
-                    op: BinOp::Add,
-                    dst: Reg::Stack(0),
-                    lhs: Reg::Stack(0),
-                    rhs: Reg::Stack(1),
+                RInsn::Arith {
+                    kind: NumKind::Int,
+                    op: ArithOp::Add,
+                    dst: VReg(0),
+                    a: VReg(0),
+                    b: VReg(1),
                 },
-                IrInsn::Return(Some(Reg::Stack(0))),
+                RInsn::Return { src: Some(VReg(0)) },
             ],
+            handlers: Vec::new(),
+            max_locals: 0,
+            num_regs: 2,
         }
     }
 
     #[test]
     fn targets_differ_in_encoding() {
-        let x86 = lower(&sample(), Target::X86);
-        let alpha = lower(&sample(), Target::Alpha);
+        let x86 = lower("t", &sample(), Target::X86);
+        let alpha = lower("t", &sample(), Target::Alpha);
+        assert_eq!(x86.name, "t.f:()I");
         assert_eq!(x86.target, Target::X86);
         assert_eq!(alpha.target, Target::Alpha);
         assert_ne!(x86.code_size, alpha.code_size);
@@ -159,7 +190,7 @@ mod tests {
 
     #[test]
     fn speedup_is_reported_over_interpretation() {
-        let m = lower(&sample(), Target::Alpha);
+        let m = lower("t", &sample(), Target::Alpha);
         let s = m.estimated_speedup(4);
         assert!(
             s > 1.0,

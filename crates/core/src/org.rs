@@ -302,7 +302,7 @@ impl Organization {
     /// returning the number of images now cached. Repeat calls (and
     /// additional clients with the same format) are served from the image
     /// cache — the amortization the paper's network compiler exists for.
-    pub fn compile_for_known_formats(&self, classes: &[ClassFile]) -> dvm_compiler::Result<u64> {
+    pub fn compile_for_known_formats(&self, classes: &[ClassFile]) -> dvm_exec::Result<u64> {
         let formats = self.console.lock().native_formats();
         let mut compiler = self.compiler.lock();
         let mut images = 0;

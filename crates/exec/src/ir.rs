@@ -7,12 +7,12 @@
 //! and write registers directly — there is no operand stack at run
 //! time — and branch targets are IR instruction indices.
 //!
-//! Unlike `dvm-compiler`'s symbolic IR (whose memory and call operands
-//! are display strings for the simulated native backends), this IR is
-//! executable: member accesses carry constant-pool indices that the
-//! execution tier resolves through the same runtime caches as the
-//! interpreter, and the injected dynamic-service stubs are first-class
-//! [`RInsn::Service`] intrinsics after inlining.
+//! This is the workspace's only register IR. It is executable: member
+//! accesses carry constant-pool indices that the execution tier resolves
+//! through the same runtime caches as the interpreter, and the injected
+//! dynamic-service stubs are first-class [`RInsn::Service`] intrinsics
+//! after inlining. `dvm-compiler`'s simulated §3.4 native targets cost
+//! this same optimized IR instruction by instruction.
 
 use dvm_bytecode::insn::{AKind, ArithOp, ICond, LogicOp, NumKind, NumType, ShiftOp};
 

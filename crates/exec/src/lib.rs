@@ -45,6 +45,9 @@ pub struct CompileStats {
     pub skipped: usize,
     /// Aggregate pass-pipeline work across all lowered methods.
     pub passes: PassStats,
+    /// Bytecode instructions decoded, across lowered and declined
+    /// methods alike (the unit compile cost is charged in).
+    pub bytecode_insns: usize,
 }
 
 /// Lowers and optimizes every method of a parsed class.
@@ -67,7 +70,10 @@ pub fn compile_class(cf: &ClassFile) -> Result<(ClassIr, CompileStats)> {
         };
         let lowered = Code::decode(attr)
             .map_err(ExecError::from)
-            .and_then(|code| lower::lower(&code, &cf.pool, name, descriptor));
+            .and_then(|code| {
+                stats.bytecode_insns += code.insns.len();
+                lower::lower(&code, &cf.pool, name, descriptor)
+            });
         match lowered {
             Ok(mut func) => {
                 stats.passes.absorb(&passes::optimize(&mut func, &cf.pool));
@@ -103,6 +109,7 @@ mod tests {
         let (ir, stats) = compile_class(&cf).unwrap();
         assert_eq!(ir.class, "t/Calc");
         assert_eq!(stats.lowered, 1);
+        assert_eq!(stats.bytecode_insns, 4);
         let f = ir.methods.iter().find(|m| m.name == "add").unwrap();
         // Optimized form: the two moves die, the add reads args directly.
         assert_eq!(f.insns.len(), 2);

@@ -792,6 +792,37 @@ mod tests {
     }
 
     #[test]
+    fn calls_collect_arguments() {
+        let mut pool = ConstPool::new();
+        let m = pool.methodref("F", "f", "(IJ)D").unwrap();
+        let mut a = Asm::new(4);
+        a.iload(0).lload(1);
+        a.invokestatic(m);
+        a.raw(Insn::Pop2);
+        a.ret();
+        let code = a.finish().unwrap();
+        let f = lower(&code, &pool, "c", "()V").unwrap();
+        let call = f
+            .insns
+            .iter()
+            .find_map(|op| match op {
+                RInsn::Invoke {
+                    kind,
+                    idx,
+                    args,
+                    dst,
+                } => Some((*kind, *idx, args.clone(), *dst)),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(call.0, InvokeKind::Static);
+        assert_eq!(call.1, m);
+        // The wide `long` argument occupies one register, not two slots.
+        assert_eq!(call.2.len(), 2);
+        assert!(call.3.is_some(), "the double result lands in a register");
+    }
+
+    #[test]
     fn iinc_lowers_to_one_instruction() {
         let pool = ConstPool::new();
         let mut a = Asm::new(1);

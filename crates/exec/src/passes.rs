@@ -898,6 +898,56 @@ mod tests {
     }
 
     #[test]
+    fn folding_stops_at_block_boundaries() {
+        // r2 is a known constant in block 0 and on the fall-through path,
+        // but index 3 is a merge point (a branch target), so the add at
+        // index 4 must not fold to a constant. Its in-block constant
+        // operand r3 still strengthens it to the immediate form.
+        let mut f = func(
+            vec![
+                RInsn::Const {
+                    dst: VReg(2),
+                    v: RConst::Int(2),
+                },
+                RInsn::If {
+                    cond: dvm_bytecode::insn::ICond::Eq,
+                    a: VReg(0),
+                    b: None,
+                    target: 3,
+                },
+                RInsn::Const {
+                    dst: VReg(2),
+                    v: RConst::Int(9),
+                },
+                RInsn::Const {
+                    dst: VReg(3),
+                    v: RConst::Int(1),
+                },
+                RInsn::Arith {
+                    kind: NumKind::Int,
+                    op: ArithOp::Add,
+                    dst: VReg(2),
+                    a: VReg(2),
+                    b: VReg(3),
+                },
+                RInsn::Return { src: Some(VReg(2)) },
+            ],
+            2,
+            4,
+        );
+        assert_eq!(fold_constants(&mut f), 1);
+        assert_eq!(
+            f.insns[4],
+            RInsn::ArithImm {
+                op: ArithOp::Add,
+                dst: VReg(2),
+                src: VReg(2),
+                imm: 1
+            }
+        );
+    }
+
+    #[test]
     fn liveness_keeps_values_read_across_blocks() {
         // r1 written in block 0, read in block 1 after a branch: the
         // write must survive even though no read follows in-block.

@@ -169,9 +169,10 @@ pub struct IrProduct {
 
 /// Produces optimized register IR for a served class: the proxy's
 /// `compiler`/`optimizer` stages for the client's optimizing execution
-/// tier. Implementations live above this crate (`dvm-core` wires the
-/// `dvm-compiler` service in); the proxy only caches and serves the
-/// result under `ir://<signature>` keys.
+/// tier. Implementations live above this crate (`dvm-core` wires in
+/// `dvm-compiler`'s `ExecCompiler`, which runs `dvm-exec`'s lowering and
+/// pass pipeline); the proxy only caches and serves the result under
+/// `ir://<signature>` keys.
 pub trait IrProducer: Send + Sync {
     /// Compiles `class_bytes` (the rewritten, pre-signature payload), or
     /// `None` to leave the class on the interpreter tier.

@@ -22,6 +22,11 @@ fn network_compiler_translates_every_generated_method() {
         let x86 = nc.compile(cf, Target::X86).unwrap();
         let alpha = nc.compile(cf, Target::Alpha).unwrap();
         assert_eq!(x86.methods.len(), alpha.methods.len());
+        assert_eq!(
+            x86.compile_stats.skipped, 0,
+            "{} left methods interpreted",
+            x86.class
+        );
         methods += x86.methods.len();
         // Alpha's fixed 4-byte encoding is never smaller per instruction.
         for (mx, ma) in x86.methods.iter().zip(&alpha.methods) {
