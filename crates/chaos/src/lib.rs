@@ -29,10 +29,10 @@
 //!   invariants (`warm-restart-serves-without-re-rewrite`,
 //!   `no-post-recovery-corruption`).
 //!
-//! The in-server [`dvm_net::FaultPlan`] and this crate compose: the
-//! plan injects faults *inside* the server (drops, delays, corrupt or
-//! truncated replies at the source), the link injects them *on the
-//! wire*, and the same invariants must hold under both.
+//! [`ChaosLink`] is the workspace's one fault injector. The servers
+//! carry no fault hooks: every resilience test, here and in the
+//! loopback suites, faults the wire between a real client and a real
+//! server.
 
 pub mod brownout;
 pub mod link;

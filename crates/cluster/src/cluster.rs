@@ -37,7 +37,7 @@ pub struct ClusterOptions {
     pub vnodes: u32,
     /// Ring seed; every client of this cluster must use the same seed.
     pub seed: u64,
-    /// Per-shard server configuration (connection limits, faults).
+    /// Per-shard server configuration (engine, connection limits).
     pub server: ServerConfig,
     /// Networking knobs for shard-to-shard peer links.
     pub peer_net: NetConfig,

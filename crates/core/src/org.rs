@@ -373,8 +373,8 @@ impl Organization {
         self.serve_with(addr, ServerConfig::default())
     }
 
-    /// [`Organization::serve`] with explicit server tuning (connection
-    /// limit, poll interval, fault injection).
+    /// [`Organization::serve`] with explicit server tuning (engine,
+    /// connection limit, poll interval, idle deadline).
     pub fn serve_with(
         &self,
         addr: impl std::net::ToSocketAddrs,

@@ -37,6 +37,6 @@ pub use client::{
 };
 pub use frame::{kind_from_u8, kind_to_u8, ErrorCode, Frame, FrameError, Hello, MAX_FRAME_LEN};
 pub use server::{
-    FaultAction, FaultPlan, FaultRule, FaultScope, FaultTrigger, MembershipView, MetricsSource,
-    MigrateBatch, MigrateExporter, ProxyServer, ServerConfig, ServerStats, MIGRATE_BATCH,
+    MembershipView, MetricsSource, MigrateBatch, MigrateExporter, ProxyServer, ServerConfig,
+    ServerStats, MIGRATE_BATCH,
 };

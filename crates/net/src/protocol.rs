@@ -4,15 +4,15 @@
 //! thread-per-connection loop (`server::serve_connection`) and the
 //! epoll reactor (`reactor_server`). Both funnel every decoded frame
 //! through [`handle_frame`], which owns the request/response semantics
-//! — stats, fault-plan decisions, membership and migration answers —
-//! and stays ignorant of sockets. The one frame that does real work,
-//! `CODE_REQUEST`, comes back as [`Flow::Execute`] so each engine can
-//! run [`execute_plan`] where blocking is acceptable: inline on a
-//! connection thread, or on the reactor's worker pool. The reactor
-//! first offers the plan to [`try_execute_inline`], which answers the
-//! common case — an unfaulted memory-tier hit — without blocking, so
-//! only misses pay the worker round trip. Both paths build their reply
-//! through one helper, so they count and trace alike.
+//! — stats, membership and migration answers — and stays ignorant of
+//! sockets. The one frame that does real work, `CODE_REQUEST`, comes
+//! back as [`Flow::Execute`] so each engine can run [`execute_plan`]
+//! where blocking is acceptable: inline on a connection thread, or on
+//! the reactor's worker pool. The reactor first offers the plan to
+//! [`try_execute_inline`], which answers the common case — a
+//! memory-tier hit — without blocking, so only misses pay the worker
+//! round trip. Both paths build their reply through one helper, so
+//! they count and trace alike.
 
 use std::sync::atomic::Ordering;
 
@@ -21,7 +21,7 @@ use dvm_proxy::{CacheTier, ProxyError, RequestContext, ServedFrom, ServedRespons
 use dvm_telemetry::{SpanId, TraceContext};
 
 use crate::frame::{kind_from_u8, ErrorCode, Frame, Hello};
-use crate::server::{FaultAction, Inner, MIGRATE_BATCH};
+use crate::server::{Inner, MIGRATE_BATCH};
 
 /// What the engine must do after a frame is handled. Replies queued in
 /// the `replies` buffer are sent regardless; `Flow` says what happens
@@ -32,8 +32,6 @@ pub(crate) enum Flow {
     Continue,
     /// Flush queued replies, then close cleanly.
     Close,
-    /// Drop the connection abruptly, without flushing.
-    Kill,
     /// Run [`execute_plan`] (blocking work) and deliver its output.
     Execute(ExecPlan),
 }
@@ -45,20 +43,9 @@ pub(crate) struct ExecPlan {
     pub request_id: u32,
     pub url: String,
     pub trace: Option<TraceContext>,
-    /// A non-`Drop` fault to apply on the response path.
-    pub fault: Option<FaultAction>,
     /// Client identity captured from the connection's handshake.
     pub client: String,
     pub principal: String,
-}
-
-/// The outcome of [`execute_plan`]: raw wire bytes (already counted on
-/// the out-metrics) plus whether the connection must close after they
-/// flush (`Truncate` kills the connection by design).
-#[derive(Debug)]
-pub(crate) struct ExecOutput {
-    pub bytes: Vec<u8>,
-    pub close: bool,
 }
 
 /// Per-connection protocol state, engine-owned.
@@ -66,9 +53,6 @@ pub(crate) struct ExecOutput {
 pub(crate) struct ConnProto {
     /// The handshake, once one arrived (identity for later requests).
     pub hello: Option<Hello>,
-    /// 1-based count of code requests on this connection, for
-    /// per-connection fault triggers.
-    pub conn_requests: u64,
 }
 
 /// Handles one client frame: updates stats, queues reply frames, and
@@ -107,22 +91,10 @@ pub(crate) fn handle_frame(
             ..
         } => {
             inner.stats.lock().requests += 1;
-            proto.conn_requests += 1;
-            let fault = inner.config.fault.as_ref().and_then(|plan| {
-                let server_seq = inner.request_counter.fetch_add(1, Ordering::SeqCst) + 1;
-                plan.decide(server_seq, proto.conn_requests)
-            });
-            if fault.is_some() {
-                inner.stats.lock().faults_injected += 1;
-            }
-            if fault == Some(FaultAction::Drop) {
-                return Flow::Kill;
-            }
             Flow::Execute(ExecPlan {
                 request_id,
                 url,
                 trace,
-                fault,
                 client: proto
                     .hello
                     .as_ref()
@@ -341,64 +313,24 @@ pub(crate) fn handle_frame(
     }
 }
 
-/// Serves one `CODE_REQUEST` through the proxy pipeline. This is the
-/// blocking half — rewrite pipeline, store I/O, injected delays — and
-/// must run off the reactor loop (the blocking engine runs it inline on
-/// its connection thread). Out-metrics for the returned bytes are
-/// counted here.
-pub(crate) fn execute_plan(inner: &Inner, plan: ExecPlan) -> ExecOutput {
-    if let Some(FaultAction::Delay(d)) = plan.fault {
-        std::thread::sleep(d);
-    }
-    let mut reply = build_reply(inner, &plan, |ctx| {
+/// Serves one `CODE_REQUEST` through the proxy pipeline and returns
+/// the encoded reply, counted on the out-metrics. This is the blocking
+/// half — rewrite pipeline, store I/O — and must run off the reactor
+/// loop (the blocking engine runs it inline on its connection thread).
+pub(crate) fn execute_plan(inner: &Inner, plan: ExecPlan) -> Vec<u8> {
+    let reply = build_reply(inner, &plan, |ctx| {
         Some(inner.proxy.handle_request_detailed(&plan.url, ctx))
     })
     .expect("the blocking serve always answers");
-    match plan.fault {
-        Some(FaultAction::Corrupt) => {
-            // Flip one byte in the middle of the payload: the frame
-            // still parses, so only the client's signature check can
-            // catch the damage.
-            if let Frame::CodeResponse { bytes, .. } = &mut reply {
-                if !bytes.is_empty() {
-                    let mid = bytes.len() / 2;
-                    bytes[mid] ^= 0xFF;
-                }
-            }
-            ExecOutput {
-                bytes: inner.encode_counted(&reply),
-                close: false,
-            }
-        }
-        Some(FaultAction::Truncate(n)) => {
-            // Deliver a strict prefix of the encoded frame, then die:
-            // the client must see a mid-frame truncation, never a
-            // short-but-clean close.
-            let encoded = reply.encode();
-            let cut = n.clamp(1, encoded.len().saturating_sub(1));
-            inner.metrics.frames_out.inc();
-            inner.metrics.bytes_out.add(cut as u64);
-            ExecOutput {
-                bytes: encoded[..cut].to_vec(),
-                close: true,
-            }
-        }
-        _ => ExecOutput {
-            bytes: inner.encode_counted(&reply),
-            close: false,
-        },
-    }
+    inner.encode_counted(&reply)
 }
 
-/// Answers `plan` on the calling thread when that cannot block: no
-/// fault is planned, and the url is a memory-tier hit whose cache lock
-/// is free right now ([`dvm_proxy::Proxy::try_serve_memory_hit`]).
-/// Returns the counted wire bytes, or `None`, with nothing counted,
-/// when the request must go through [`execute_plan`].
+/// Answers `plan` on the calling thread when that cannot block: the url
+/// is a memory-tier hit whose cache lock is free right now
+/// ([`dvm_proxy::Proxy::try_serve_memory_hit`]). Returns the counted
+/// wire bytes, or `None`, with nothing counted, when the request must
+/// go through [`execute_plan`].
 pub(crate) fn try_execute_inline(inner: &Inner, plan: &ExecPlan) -> Option<Vec<u8>> {
-    if plan.fault.is_some() {
-        return None;
-    }
     let reply = build_reply(inner, plan, |ctx| {
         inner.proxy.try_serve_memory_hit(&plan.url, ctx).map(Ok)
     })?;

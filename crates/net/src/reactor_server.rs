@@ -9,13 +9,12 @@
 //! ten thousand idle connections cost buffers, not threads.
 //!
 //! Warm fetches skip the pool. A `CODE_REQUEST` is answered on the loop
-//! thread itself when all of these hold: no fault is planned for it,
-//! its url is resident in the proxy's memory tier, and the cache lock
-//! is free at that instant (`try_lock`). None of those checks can wait
-//! — the disk tier is never read and a lock held by a rewrite's store
-//! write is not waited for — so the loop never blocks on the rewrite
-//! path. Everything else (misses, disk hits, faults, a busy lock) is
-//! deferred exactly as before.
+//! thread itself when both of these hold: its url is resident in the
+//! proxy's memory tier, and the cache lock is free at that instant
+//! (`try_lock`). Neither check can wait — the disk tier is never read
+//! and a lock held by a rewrite's store write is not waited for — so
+//! the loop never blocks on the rewrite path. Everything else (misses,
+//! disk hits, a busy lock) is deferred to the pool.
 //!
 //! Overload semantics match the blocking engine: a connection beyond
 //! `max_connections` is still accepted, its first complete frame is
@@ -136,7 +135,6 @@ impl dvm_reactor::Handler for NetHandler {
         match flow {
             Flow::Continue => {}
             Flow::Close => io.close_after_flush(),
-            Flow::Kill => io.close(),
             Flow::Execute(plan) => {
                 // A memory hit is answered here, in order with the
                 // replies above.
@@ -144,19 +142,12 @@ impl dvm_reactor::Handler for NetHandler {
                     io.send(&bytes);
                     return;
                 }
-                // The blocking step — rewrite pipeline, store I/O,
-                // injected delays — runs on the pool; the loop stops
-                // consuming this connection's frames until the output
-                // is delivered back, which preserves response order.
+                // The blocking step — rewrite pipeline, store I/O — runs
+                // on the pool; the loop stops consuming this
+                // connection's frames until the output is delivered
+                // back, which preserves response order.
                 let inner = self.inner.clone();
-                io.defer(move || {
-                    let out = execute_plan(&inner, plan);
-                    JobOutput {
-                        bytes: out.bytes,
-                        close: out.close,
-                        kill: false,
-                    }
-                });
+                io.defer(move || JobOutput::reply(execute_plan(&inner, plan)));
             }
         }
     }

@@ -28,7 +28,6 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use dvm_monitor::AdminConsole;
-use dvm_netsim::SimRng;
 use dvm_proxy::Proxy;
 use dvm_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
@@ -48,8 +47,6 @@ pub struct ServerConfig {
     /// Idle-poll granularity for connection threads (bounds shutdown
     /// latency; not a client-visible deadline). Blocking engine only.
     pub poll_interval: Duration,
-    /// Optional fault injection for resilience tests.
-    pub fault: Option<FaultPlan>,
     /// Serve through the epoll reactor (`dvm-reactor`): one loop thread
     /// owns every connection and only request *execution* uses worker
     /// threads. Off, the original thread-per-connection engine serves —
@@ -75,7 +72,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_connections: 64,
             poll_interval: Duration::from_millis(50),
-            fault: None,
             reactor: true,
             idle_deadline: None,
             workers: 0,
@@ -83,125 +79,6 @@ impl Default for ServerConfig {
             write_buf_limit: 256 << 10,
         }
     }
-}
-
-/// Deliberate failure injection: a schedule of [`FaultRule`]s evaluated
-/// against every code request. The first rule whose trigger fires
-/// supplies the [`FaultAction`]; rules that do not fire leave the
-/// request untouched. The same plan is shared by a standalone
-/// [`ProxyServer`] and every shard of a `ProxyCluster`, so one schedule
-/// describes an organization-wide failure mode.
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    /// Rules, evaluated in order; the first firing rule wins.
-    pub rules: Vec<FaultRule>,
-}
-
-impl FaultPlan {
-    /// The classic single-fault plan: abruptly drop the connection
-    /// instead of answering every `n`-th code request (counted across
-    /// all connections, 1-based).
-    pub fn drop_every_nth(n: u64) -> FaultPlan {
-        FaultPlan {
-            rules: vec![FaultRule {
-                action: FaultAction::Drop,
-                trigger: FaultTrigger::EveryNth(n),
-                scope: FaultScope::PerServer,
-            }],
-        }
-    }
-
-    /// Appends a rule (builder style).
-    pub fn with(mut self, action: FaultAction, trigger: FaultTrigger, scope: FaultScope) -> Self {
-        self.rules.push(FaultRule {
-            action,
-            trigger,
-            scope,
-        });
-        self
-    }
-
-    /// The action to apply to a request, given its 1-based sequence
-    /// numbers on the whole server and on its connection. Pure: the same
-    /// `(plan, server_seq, conn_seq)` always answers the same, which is
-    /// what makes seeded schedules replayable.
-    pub fn decide(&self, server_seq: u64, conn_seq: u64) -> Option<FaultAction> {
-        self.rules.iter().find_map(|r| {
-            let seq = match r.scope {
-                FaultScope::PerServer => server_seq,
-                FaultScope::PerConnection => conn_seq,
-            };
-            r.trigger.fires(seq).then_some(r.action)
-        })
-    }
-}
-
-/// One fault-injection rule: what to do, when, counted against what.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultRule {
-    /// The failure to inject.
-    pub action: FaultAction,
-    /// When the failure fires.
-    pub trigger: FaultTrigger,
-    /// Which request counter the trigger is evaluated against.
-    pub scope: FaultScope,
-}
-
-/// The injectable failure modes on the server side of the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Abruptly close the connection instead of answering.
-    Drop,
-    /// Answer, but only after sleeping this long (client read-timeout
-    /// territory).
-    Delay(Duration),
-    /// Answer with the payload's bytes corrupted (one byte flipped), so
-    /// the client's signature verification must catch it.
-    Corrupt,
-    /// Send only the first `n` bytes of the encoded response, then close
-    /// — a mid-frame truncation as seen by the client.
-    Truncate(usize),
-}
-
-/// When a [`FaultRule`] fires, as a function of a request sequence
-/// number (1-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultTrigger {
-    /// Every `n`-th request (`seq % n == 0`); never for `n == 0`.
-    EveryNth(u64),
-    /// Exactly the `n`-th request.
-    Once(u64),
-    /// Pseudo-randomly with probability `per_mille`/1000, decided by a
-    /// pure function of `(seed, seq)` — deterministic replay without any
-    /// shared generator state across connection threads.
-    Seeded {
-        /// Experiment seed.
-        seed: u64,
-        /// Firing probability in thousandths.
-        per_mille: u16,
-    },
-}
-
-impl FaultTrigger {
-    /// Whether the trigger fires for 1-based request number `seq`.
-    pub fn fires(self, seq: u64) -> bool {
-        match self {
-            FaultTrigger::EveryNth(n) => n > 0 && seq.is_multiple_of(n),
-            FaultTrigger::Once(n) => seq == n,
-            FaultTrigger::Seeded { seed, per_mille } => {
-                SimRng::derive(seed, seq).next_f64() < f64::from(per_mille) / 1000.0
-            }
-        }
-    }
-}
-
-/// Which request counter a [`FaultTrigger`] is evaluated against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultScope {
-    /// The server-wide request counter (across all connections).
-    PerServer,
-    /// The connection's own request counter.
-    PerConnection,
 }
 
 /// Most entries a single `MIGRATE_BEGIN` answer will stream before
@@ -300,8 +177,6 @@ pub struct ServerStats {
     pub audit_events: u64,
     /// Malformed or unparseable frames received.
     pub malformed: u64,
-    /// Connections dropped by fault injection.
-    pub faults_injected: u64,
     /// Connections rejected with `Overloaded` at the admission gate.
     pub overload_rejects: u64,
     /// `PEER_GET` probes received from peer shards.
@@ -380,7 +255,6 @@ pub(crate) struct Inner {
     pub(crate) running: AtomicBool,
     pub(crate) sema: Arc<Semaphore>,
     pub(crate) stats: Mutex<ServerStats>,
-    pub(crate) request_counter: AtomicU64,
     pub(crate) anon_sessions: AtomicU64,
     pub(crate) live: AtomicUsize,
     pub(crate) conns: Mutex<Vec<JoinHandle<()>>>,
@@ -460,7 +334,6 @@ impl ProxyServer {
             running: AtomicBool::new(true),
             sema: Arc::new(Semaphore::new(max_connections)),
             stats: Mutex::new(ServerStats::default()),
-            request_counter: AtomicU64::new(0),
             anon_sessions: AtomicU64::new(1),
             live: AtomicUsize::new(0),
             conns: Mutex::new(Vec::new()),
@@ -783,22 +656,11 @@ fn serve_connection(stream: TcpStream, inner: &Inner) {
         match flow {
             Flow::Continue => {}
             Flow::Close => break,
-            Flow::Kill => {
-                let _ = reader.stream.shutdown(Shutdown::Both);
-                break;
-            }
             Flow::Execute(plan) => {
                 // The blocking engine runs request execution inline on
                 // this connection thread (bytes are pre-counted by
                 // `execute_plan`).
-                let out = execute_plan(inner, plan);
-                let sent = writer.write_all(&out.bytes).is_ok();
-                if out.close {
-                    let _ = writer.flush();
-                    let _ = reader.stream.shutdown(Shutdown::Both);
-                    break;
-                }
-                if !sent {
+                if writer.write_all(&execute_plan(inner, plan)).is_err() {
                     break;
                 }
             }

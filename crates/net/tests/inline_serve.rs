@@ -1,17 +1,13 @@
-//! The reactor answers unfaulted memory-tier hits on its loop thread and
-//! defers everything else to its worker pool. These tests hold the two
+//! The reactor answers memory-tier hits on its loop thread and defers
+//! everything else to its worker pool. These tests hold the two
 //! paths (and the two engines) against each other: whichever way a
 //! request is served, every stat, counter and span must come out the
 //! same.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use dvm_classfile::ClassBuilder;
-use dvm_net::{
-    FaultAction, FaultPlan, FaultScope, FaultTrigger, Hello, NetClassProvider, NetConfig,
-    ProxyServer, ServerConfig,
-};
+use dvm_net::{Hello, NetClassProvider, NetConfig, ProxyServer, ServerConfig, ServerStats};
 use dvm_proxy::{MapOrigin, Pipeline, Proxy, Signer};
 use dvm_telemetry::{SpanId, TraceContext, TraceId};
 
@@ -53,9 +49,11 @@ fn client(server: &ProxyServer) -> NetClassProvider {
 }
 
 /// Every counter a fetch can move, flattened to `name → value` so two
-/// snapshots subtract and compare as a whole.
-fn counters(proxy: &Proxy, server: &ProxyServer) -> Vec<(String, u64)> {
-    let snap = server.telemetry().registry().snapshot();
+/// snapshots subtract and compare as a whole. The servers all sit over
+/// `proxy` and so share its telemetry plane; their `ServerStats` are
+/// summed.
+fn counters(proxy: &Proxy, servers: &[&ProxyServer]) -> Vec<(String, u64)> {
+    let snap = proxy.telemetry().registry().snapshot();
     let mut out: Vec<(String, u64)> = snap
         .counters
         .iter()
@@ -68,7 +66,9 @@ fn counters(proxy: &Proxy, server: &ProxyServer) -> Vec<(String, u64)> {
     }
     let p = proxy.stats();
     let c = proxy.cache_stats();
-    let s = server.stats();
+    let server_sum = |field: fn(&ServerStats) -> u64| -> u64 {
+        servers.iter().map(|server| field(&server.stats())).sum()
+    };
     for (name, v) in [
         ("ProxyStats.requests", p.requests),
         ("ProxyStats.bytes_served", p.bytes_served),
@@ -77,10 +77,9 @@ fn counters(proxy: &Proxy, server: &ProxyServer) -> Vec<(String, u64)> {
         ("CacheStats.memory_hits", c.memory_hits),
         ("CacheStats.disk_hits", c.disk_hits),
         ("CacheStats.misses", c.misses),
-        ("ServerStats.requests", s.requests),
-        ("ServerStats.responses", s.responses),
-        ("ServerStats.errors", s.errors),
-        ("ServerStats.faults_injected", s.faults_injected),
+        ("ServerStats.requests", server_sum(|s| s.requests)),
+        ("ServerStats.responses", server_sum(|s| s.responses)),
+        ("ServerStats.errors", server_sum(|s| s.errors)),
         ("audit_total", proxy.audit_total()),
     ] {
         out.push((name.to_owned(), v));
@@ -120,42 +119,44 @@ fn pool_completions(server: &ProxyServer) -> u64 {
 
 #[test]
 fn inline_and_pooled_fetches_account_alike() {
-    // Request 3 (the second warm fetch) carries a zero-length delay: a
-    // fault that changes nothing but forces the pool path.
-    let plan = FaultPlan::default().with(
-        FaultAction::Delay(Duration::ZERO),
-        FaultTrigger::Once(3),
-        FaultScope::PerServer,
-    );
+    // The reference warm fetch is served by a blocking-engine server
+    // over the same proxy: it answers every request with `execute_plan`,
+    // the same function the reactor's pool runs.
     let proxy = proxy();
-    let server = serve(
+    let server = serve(&proxy, ServerConfig::default());
+    let blocking = serve(
         &proxy,
         ServerConfig {
-            fault: Some(plan),
+            reactor: false,
             ..ServerConfig::default()
         },
     );
+    let both = [&server, &blocking];
     let mut c = client(&server);
-    c.fetch(WARM).unwrap(); // request 1: the rewrite
+    let mut b = client(&blocking);
+    c.fetch(WARM).unwrap(); // the rewrite
+    b.fetch(WARM).unwrap(); // connects the reference client
 
-    let (c0, p0) = (counters(&proxy, &server), pool_completions(&server));
-    let (inline_bytes, _) = c.fetch(WARM).unwrap(); // request 2: inline
-    let (c1, p1) = (counters(&proxy, &server), pool_completions(&server));
-    let (pooled_bytes, _) = c.fetch(WARM).unwrap(); // request 3: pool
-    let (c2, p2) = (counters(&proxy, &server), pool_completions(&server));
-    let _ = c.fetch(COLD).unwrap(); // request 4: a miss, pool
-    let (c3, p3) = (counters(&proxy, &server), pool_completions(&server));
+    let (c0, p0) = (counters(&proxy, &both), pool_completions(&server));
+    let (inline_bytes, _) = c.fetch(WARM).unwrap(); // reactor: inline
+    let (c1, p1) = (counters(&proxy, &both), pool_completions(&server));
+    let answered = |s: &ProxyServer| s.stats().responses;
+    let (r1, b1) = (answered(&server), answered(&blocking));
+    let (pooled_bytes, _) = b.fetch(WARM).unwrap(); // blocking: execute_plan
+    let (c2, p2) = (counters(&proxy, &both), pool_completions(&server));
+    let (r2, b2) = (answered(&server), answered(&blocking));
+    let _ = c.fetch(COLD).unwrap(); // reactor: a miss, pool
+    let (c3, p3) = (counters(&proxy, &both), pool_completions(&server));
 
     assert_eq!(p1 - p0, 0, "the warm fetch was answered on the loop");
-    assert_eq!(p2 - p1, 1, "the faulted warm fetch went through the pool");
+    assert_eq!(p2 - p1, 0, "the reference fetch bypassed the reactor");
     assert_eq!(p3 - p2, 1, "the miss went through the pool");
     assert_eq!(inline_bytes, pooled_bytes);
 
     let inline = delta(&c0, &c1);
-    let mut pooled = delta(&c1, &c2);
-    // The fault itself is the one intended difference.
-    assert_eq!(get(&pooled, "ServerStats.faults_injected"), 1);
-    pooled.retain(|(n, _)| n != "ServerStats.faults_injected");
+    let pooled = delta(&c1, &c2);
+    // The serving engine is the one intended difference.
+    assert_eq!((r2 - r1, b2 - b1), (0, 1), "the blocking engine answered");
     assert_eq!(inline, pooled);
     for name in [
         "proxy.requests",
@@ -188,6 +189,7 @@ fn inline_and_pooled_fetches_account_alike() {
     assert_eq!(get(&cold, "proxy.cache.hit.memory"), 0);
     assert_eq!(get(&cold, "CacheStats.misses"), 1);
     assert_eq!(get(&cold, "ProxyStats.rewrites"), 1);
+    blocking.shutdown();
     server.shutdown();
 }
 
@@ -238,11 +240,11 @@ fn both_engines_count_the_same_fetches_alike() {
             },
         );
         let mut c = client(&server);
-        let base = counters(&proxy, &server);
+        let base = counters(&proxy, &[&server]);
         for url in [WARM, WARM, COLD, WARM, COLD, WARM] {
             c.fetch(url).unwrap();
         }
-        let d = delta(&base, &counters(&proxy, &server));
+        let d = delta(&base, &counters(&proxy, &[&server]));
         server.shutdown();
         d
     };

@@ -119,24 +119,24 @@ impl Pipeline {
 
     /// Runs the class through every filter.
     pub fn run(&self, class: ClassFile, ctx: &RequestContext) -> Result<ClassFile, FilterError> {
-        self.run_traced(class, ctx, &mut |_, _| {})
+        self.run_traced(class, ctx, &mut |_, _, _| {})
     }
 
     /// [`Pipeline::run`] with a per-stage observer: after each filter
-    /// completes, `observe(name, elapsed_ns)` is called with its
-    /// wall-clock duration. The proxy uses this to feed per-stage
+    /// completes, `observe(index, name, elapsed_ns)` is called with its
+    /// position in the pipeline and its wall-clock duration. The proxy uses this to feed per-stage
     /// latency histograms and trace spans without the pipeline knowing
     /// anything about telemetry.
     pub fn run_traced(
         &self,
         mut class: ClassFile,
         ctx: &RequestContext,
-        observe: &mut dyn FnMut(&str, u64),
+        observe: &mut dyn FnMut(usize, &str, u64),
     ) -> Result<ClassFile, FilterError> {
-        for f in &self.filters {
+        for (i, f) in self.filters.iter().enumerate() {
             let t0 = std::time::Instant::now();
             class = f.apply(class, ctx)?;
-            observe(f.name(), t0.elapsed().as_nanos() as u64);
+            observe(i, f.name(), t0.elapsed().as_nanos() as u64);
         }
         Ok(class)
     }

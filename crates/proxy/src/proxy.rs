@@ -252,7 +252,8 @@ struct Handling {
     span: Option<(TraceContext, SpanId, u64)>,
 }
 
-/// Aggregate proxy statistics.
+/// Aggregate proxy statistics, read off the proxy's telemetry counters
+/// (see [`Proxy::stats`] for the metric behind each field).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProxyStats {
     /// Requests handled.
@@ -279,9 +280,11 @@ pub struct ProxyStats {
 
 /// Pre-registered telemetry handles for the request hot path: resolved
 /// once at wiring so recording is a relaxed atomic op, never a registry
-/// lookup.
+/// lookup. They are the only record of what the proxy did:
+/// [`Proxy::stats`] reads its counters back.
 struct ProxyMetrics {
     requests: Arc<Counter>,
+    bytes_served: Arc<Counter>,
     errors: Arc<Counter>,
     cache_hit_memory: Arc<Counter>,
     cache_hit_disk: Arc<Counter>,
@@ -291,6 +294,7 @@ struct ProxyMetrics {
     rewrites: Arc<Counter>,
     rewrite_bytes_in: Arc<Counter>,
     rewrite_bytes_out: Arc<Counter>,
+    rewrite_sim_ns: Arc<Counter>,
     ir_compiles: Arc<Counter>,
     ir_served: Arc<Counter>,
     ir_bytes: Arc<Counter>,
@@ -299,13 +303,17 @@ struct ProxyMetrics {
     request_ns: Arc<Histogram>,
     origin_fetch_ns: Arc<Histogram>,
     ir_lower_ns: Arc<Histogram>,
+    /// `proxy.stage.<filter>_ns`, one per pipeline filter, in pipeline
+    /// order.
+    stage_ns: Vec<Arc<Histogram>>,
 }
 
 impl ProxyMetrics {
-    fn register(telemetry: &Telemetry) -> ProxyMetrics {
+    fn register(telemetry: &Telemetry, pipeline: &Pipeline) -> ProxyMetrics {
         let r = telemetry.registry();
         ProxyMetrics {
             requests: r.counter("proxy.requests"),
+            bytes_served: r.counter("proxy.bytes_served"),
             errors: r.counter("proxy.errors"),
             cache_hit_memory: r.counter("proxy.cache.hit.memory"),
             cache_hit_disk: r.counter("proxy.cache.hit.disk"),
@@ -315,6 +323,7 @@ impl ProxyMetrics {
             rewrites: r.counter("proxy.rewrites"),
             rewrite_bytes_in: r.counter("proxy.rewrite.bytes_in"),
             rewrite_bytes_out: r.counter("proxy.rewrite.bytes_out"),
+            rewrite_sim_ns: r.counter("proxy.rewrite.sim_ns"),
             ir_compiles: r.counter("exec.ir.compiles"),
             ir_served: r.counter("exec.ir.served"),
             ir_bytes: r.counter("exec.ir.bytes"),
@@ -323,6 +332,11 @@ impl ProxyMetrics {
             request_ns: r.histogram("proxy.request_ns"),
             origin_fetch_ns: r.histogram("proxy.origin.fetch_ns"),
             ir_lower_ns: r.histogram("exec.lower_ns"),
+            stage_ns: pipeline
+                .names()
+                .iter()
+                .map(|stage| r.histogram(&format!("proxy.stage.{stage}_ns")))
+                .collect(),
         }
     }
 }
@@ -338,7 +352,6 @@ pub struct Proxy {
     peer: parking_lot::RwLock<Option<Arc<dyn PeerCache>>>,
     ir_producer: parking_lot::RwLock<Option<Arc<dyn IrProducer>>>,
     audit: Mutex<AuditTrail>,
-    stats: Mutex<ProxyStats>,
     telemetry: Arc<Telemetry>,
     metrics: ProxyMetrics,
 }
@@ -367,7 +380,7 @@ impl Proxy {
     ) -> Proxy {
         let telemetry = Arc::new(Telemetry::new("proxy"));
         telemetry.recorder().set_node("proxy");
-        let metrics = ProxyMetrics::register(&telemetry);
+        let metrics = ProxyMetrics::register(&telemetry, &pipeline);
         Proxy {
             origin,
             pipeline,
@@ -378,7 +391,6 @@ impl Proxy {
             peer: parking_lot::RwLock::new(None),
             ir_producer: parking_lot::RwLock::new(None),
             audit: Mutex::new(AuditTrail::default()),
-            stats: Mutex::new(ProxyStats::default()),
             telemetry,
             metrics,
         }
@@ -421,7 +433,7 @@ impl Proxy {
     /// between components that should report as one node.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Proxy {
         telemetry.recorder().set_node(telemetry.node());
-        self.metrics = ProxyMetrics::register(&telemetry);
+        self.metrics = ProxyMetrics::register(&telemetry, &self.pipeline);
         self.telemetry = telemetry;
         self
     }
@@ -494,7 +506,6 @@ impl Proxy {
     /// Accounts one handled request: counts it (and its error), records
     /// its wall time and closes its `proxy.handle` span.
     fn end(&self, handling: Handling, ok: bool) {
-        self.stats.lock().requests += 1;
         self.metrics.requests.inc();
         if !ok {
             self.metrics.errors.inc();
@@ -532,7 +543,6 @@ impl Proxy {
             if let Some(peer) = peer {
                 if let Some(bytes) = peer.fetch_from_home(url) {
                     let bytes: Arc<[u8]> = bytes.into();
-                    self.stats.lock().peer_fills += 1;
                     self.metrics.peer_fills.inc();
                     // Hot here (a client just asked), so fill the memory
                     // tier — unlike unsolicited offers, which land on disk.
@@ -571,18 +581,14 @@ impl Proxy {
                 fetch_ns,
             );
         }
-        self.stats.lock().bytes_fetched += original.len() as u64;
         self.metrics.rewrite_bytes_in.add(original.len() as u64);
 
         // Parse once for all static services.
         let class = ClassFile::parse(&original).map_err(|e| ProxyError::Parse(e.to_string()))?;
-        let registry = self.telemetry.registry();
         let mut rewritten = self
             .pipeline
-            .run_traced(class, ctx, &mut |stage, elapsed_ns| {
-                registry
-                    .histogram(&format!("proxy.stage.{stage}_ns"))
-                    .record(elapsed_ns);
+            .run_traced(class, ctx, &mut |i, stage, elapsed_ns| {
+                self.metrics.stage_ns[i].record(elapsed_ns);
                 if let Some((trace, parent)) = span {
                     let end = recorder.now_ns();
                     recorder.record_span(
@@ -617,12 +623,8 @@ impl Proxy {
         }
         // Charge deterministic, machine-independent processing time.
         let elapsed = self.rewrite_cost.charge_ns(original.len() as u64);
-        {
-            let mut s = self.stats.lock();
-            s.rewrites += 1;
-            s.rewrite_ns += elapsed;
-        }
         self.metrics.rewrites.inc();
+        self.metrics.rewrite_sim_ns.add(elapsed);
         self.metrics.rewrite_bytes_out.add(bytes.len() as u64);
         let bytes: Arc<[u8]> = bytes.into();
         if self.caching {
@@ -632,7 +634,6 @@ impl Proxy {
                 // One organization-wide rewrite should populate the fleet:
                 // push the result to the url's home shard.
                 if peer.offer_to_home(url, &bytes) {
-                    self.stats.lock().peer_offers += 1;
                     self.metrics.peer_offers.inc();
                 }
             }
@@ -660,7 +661,6 @@ impl Proxy {
         span: Option<(dvm_telemetry::TraceId, SpanId)>,
     ) {
         let key = ir_key(served_bytes);
-        self.stats.lock().ir_compiles += 1;
         self.metrics.ir_compiles.inc();
         self.metrics.ir_bytes.add(product.bytes.len() as u64);
         self.metrics.ir_compile_cycles.add(product.compile_cycles);
@@ -698,7 +698,6 @@ impl Proxy {
             let peer = self.peer.read().clone();
             if let Some(peer) = peer {
                 if peer.offer_to_home(&key, &bytes) {
-                    self.stats.lock().peer_offers += 1;
                     self.metrics.peer_offers.inc();
                 }
             }
@@ -740,7 +739,6 @@ impl Proxy {
         served_from: ServedFrom,
     ) -> ServedResponse {
         if url.starts_with(IR_SCHEME) {
-            self.stats.lock().ir_served += 1;
             self.metrics.ir_served.inc();
         }
         self.finish(url, ctx, &bytes, served_from, 0);
@@ -759,7 +757,7 @@ impl Proxy {
         served_from: ServedFrom,
         processing_ns: u64,
     ) {
-        self.stats.lock().bytes_served += bytes.len() as u64;
+        self.metrics.bytes_served.add(bytes.len() as u64);
         self.audit.lock().push(ProxyAuditRecord {
             url: url.to_owned(),
             client: ctx.client.clone(),
@@ -769,9 +767,22 @@ impl Proxy {
         });
     }
 
-    /// Snapshot of the aggregate statistics.
+    /// Snapshot of the aggregate statistics, read off the telemetry
+    /// counters that record them.
     pub fn stats(&self) -> ProxyStats {
-        *self.stats.lock()
+        let m = &self.metrics;
+        ProxyStats {
+            requests: m.requests.get(),
+            bytes_fetched: m.rewrite_bytes_in.get(),
+            bytes_served: m.bytes_served.get(),
+            rewrites: m.rewrites.get(),
+            rewrite_ns: m.rewrite_sim_ns.get(),
+            peer_fills: m.peer_fills.get(),
+            peer_offers: m.peer_offers.get(),
+            ir_compiles: m.ir_compiles.get(),
+            ir_served: m.ir_served.get(),
+            migrate_ingests: m.migrate_ingests.get(),
+        }
     }
 
     /// Snapshot of the cache statistics.
@@ -829,7 +840,6 @@ impl Proxy {
         self.cache
             .lock()
             .put_tier(url.to_owned(), bytes.into(), CacheTier::Disk);
-        self.stats.lock().migrate_ingests += 1;
         self.metrics.migrate_ingests.inc();
     }
 
@@ -1132,6 +1142,78 @@ mod tests {
         assert!(snap.counter("proxy.rewrite.bytes_in") > 0);
         assert_eq!(snap.histograms["proxy.request_ns"].count, 2);
         assert_eq!(snap.histograms["proxy.stage.null_ns"].count, 1);
+    }
+
+    #[test]
+    fn stats_read_back_the_registry_counters() {
+        let proxy = Proxy::new(
+            Box::new(origin_with("t/C", "u")),
+            null_pipeline(),
+            1 << 20,
+            true,
+            Some(Signer::new(b"org")),
+        );
+        proxy.set_ir_producer(Arc::new(CannedProducer));
+        let peer = |hit: Option<Vec<u8>>| {
+            Arc::new(FakePeer {
+                hit,
+                fills: Default::default(),
+                offers: Mutex::new(Vec::new()),
+            })
+        };
+        let ctx = RequestContext::default();
+        // A rewrite with an IR compile, both offered to the home shard.
+        proxy.set_peer_cache(peer(None));
+        let rewrite = proxy.handle_request_detailed("u", &ctx).unwrap();
+        // A memory hit, an `ir://` serve and a peer fill.
+        let hit = proxy.handle_request_detailed("u", &ctx).unwrap();
+        let ir = proxy
+            .handle_request_detailed(&ir_key(&rewrite.bytes), &ctx)
+            .unwrap();
+        proxy.set_peer_cache(peer(Some(b"peer-rewritten".to_vec())));
+        let fill = proxy.handle_request_detailed("p", &ctx).unwrap();
+        assert_eq!(fill.served_from, ServedFrom::Peer);
+        proxy.migrate_ingest("m", vec![7; 9]);
+
+        let stats = proxy.stats();
+        let snap = proxy.telemetry().registry().snapshot();
+        let served = [&rewrite, &hit, &ir, &fill].map(|r| r.bytes.len() as u64);
+        for (field, value, counter, expected) in [
+            ("requests", stats.requests, "proxy.requests", 4),
+            (
+                "bytes_fetched",
+                stats.bytes_fetched,
+                "proxy.rewrite.bytes_in",
+                origin_with("t/C", "u").fetch("u").unwrap().len() as u64,
+            ),
+            (
+                "bytes_served",
+                stats.bytes_served,
+                "proxy.bytes_served",
+                served.iter().sum(),
+            ),
+            ("rewrites", stats.rewrites, "proxy.rewrites", 1),
+            (
+                "rewrite_ns",
+                stats.rewrite_ns,
+                "proxy.rewrite.sim_ns",
+                rewrite.processing_ns,
+            ),
+            ("peer_fills", stats.peer_fills, "proxy.peer.fills", 1),
+            ("peer_offers", stats.peer_offers, "proxy.peer.offers", 2),
+            ("ir_compiles", stats.ir_compiles, "exec.ir.compiles", 1),
+            ("ir_served", stats.ir_served, "exec.ir.served", 1),
+            (
+                "migrate_ingests",
+                stats.migrate_ingests,
+                "proxy.migrate.ingests",
+                1,
+            ),
+        ] {
+            assert_eq!(value, snap.counter(counter), "{field} vs {counter}");
+            assert_eq!(value, expected, "{field}");
+            assert!(value > 0, "{field} was not driven");
+        }
     }
 
     #[test]

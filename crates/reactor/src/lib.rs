@@ -114,8 +114,8 @@ pub enum Boundary {
 pub enum CloseReason {
     /// The peer closed (EOF) or reset.
     PeerClosed,
-    /// The handler asked ([`Io::close`]/[`Io::close_after_flush`] or a
-    /// closing [`JobOutput`]).
+    /// The handler asked ([`Io::close_after_flush`]), or its deferred
+    /// job panicked ([`JobOutput::kill`]).
     HandlerClosed,
     /// [`Boundary::Violation`] — unparseable input.
     Violation,
@@ -132,8 +132,6 @@ pub enum CloseReason {
 pub struct JobOutput {
     /// Bytes to queue on the connection's output buffer.
     pub bytes: Vec<u8>,
-    /// Flush everything queued, then close.
-    pub close: bool,
     /// Close immediately, discarding any unflushed output (after
     /// `bytes`, which are still queued first — leave it empty for a
     /// true abrupt drop).
@@ -143,27 +141,13 @@ pub struct JobOutput {
 impl JobOutput {
     /// Queue `bytes` and keep serving.
     pub fn reply(bytes: Vec<u8>) -> JobOutput {
-        JobOutput {
-            bytes,
-            close: false,
-            kill: false,
-        }
-    }
-
-    /// Queue `bytes`, flush, then close.
-    pub fn reply_then_close(bytes: Vec<u8>) -> JobOutput {
-        JobOutput {
-            bytes,
-            close: true,
-            kill: false,
-        }
+        JobOutput { bytes, kill: false }
     }
 
     /// Abruptly drop the connection without replying.
     pub fn kill() -> JobOutput {
         JobOutput {
             bytes: Vec::new(),
-            close: false,
             kill: true,
         }
     }
@@ -208,11 +192,6 @@ impl Io<'_> {
     /// Flush everything queued, then close.
     pub fn close_after_flush(&mut self) {
         self.out.draining = true;
-    }
-
-    /// Close immediately, discarding unflushed output.
-    pub fn close(&mut self) {
-        self.out.kill = true;
     }
 }
 
@@ -784,9 +763,6 @@ impl<H: Handler> LoopState<H> {
                 conn.out.inflight = false;
                 if !c.out.bytes.is_empty() {
                     conn.out.wbuf.extend_from_slice(&c.out.bytes);
-                }
-                if c.out.close {
-                    conn.out.draining = true;
                 }
                 if c.out.kill {
                     conn.out.kill = true;

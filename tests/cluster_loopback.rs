@@ -2,14 +2,18 @@
 //! mid-run shard failure with client failover, typed-overload failover,
 //! and peer cache-fill over the wire.
 
+use std::net::SocketAddr;
 use std::sync::Barrier;
 use std::time::Duration;
 
-use dvm_repro::cluster::{ClusterClientConfig, ClusterOptions, HashRing, HealthConfig};
-use dvm_repro::core::{CostModel, Organization, ServiceConfig};
-use dvm_repro::net::{FaultPlan, Hello, NetClassProvider, NetConfig, ServerConfig};
+use dvm_repro::chaos::{ChaosLink, ChaosSchedule};
+use dvm_repro::cluster::{
+    ClusterClassProvider, ClusterClientConfig, ClusterOptions, HashRing, HealthConfig, ProxyCluster,
+};
+use dvm_repro::core::{CostModel, DvmClient, Organization, ServiceConfig};
+use dvm_repro::net::{Hello, NetClassProvider, NetConfig, RemoteConsole, ServerConfig};
 use dvm_repro::proxy::{ServedFrom, Signer};
-use dvm_repro::security::Policy;
+use dvm_repro::security::{EnforcementManager, Policy, SecurityId};
 use dvm_repro::workload::{corpus, Applet};
 
 fn org_over(applets: &[Applet]) -> Organization {
@@ -75,6 +79,50 @@ fn fast_config() -> ClusterClientConfig {
     }
 }
 
+/// A cluster client wired like `Organization::cluster_client_with`, but
+/// with every connection, fetches and the audit channel alike, routed
+/// through `links` (one per shard, in shard order). The audit channel
+/// pins the first shard from `preferred` on that completes a handshake.
+fn linked_client(
+    org: &Organization,
+    cluster: &ProxyCluster,
+    links: &[SocketAddr],
+    user: &str,
+    preferred: usize,
+) -> DvmClient {
+    let hello = hello(user);
+    let config = fast_config();
+    let provider = ClusterClassProvider::new(
+        links.to_vec(),
+        cluster.ring().clone(),
+        hello.clone(),
+        org_signer(),
+        config,
+    );
+    let console = (0..links.len())
+        .find_map(|i| {
+            let shard = (preferred + i) % links.len();
+            RemoteConsole::connect(links[shard], hello.clone(), config.net).ok()
+        })
+        .expect("some shard completes the audit handshake");
+    let sid = org
+        .policy()
+        .lock()
+        .principals
+        .get("applets")
+        .copied()
+        .unwrap_or(SecurityId(1));
+    let enforcement = EnforcementManager::register(org.security.clone());
+    DvmClient::wire_cluster(
+        provider,
+        Some(enforcement),
+        sid,
+        Some(Box::new(console)),
+        org.cost,
+    )
+    .unwrap()
+}
+
 /// The acceptance scenario: three shards serve a fleet of clients; one
 /// shard is killed mid-run (on a barrier, so "mid" is deterministic) and
 /// every client still completes every applet with verified signatures —
@@ -88,26 +136,29 @@ fn killing_one_of_three_shards_mid_run_loses_no_client() {
             3,
             ClusterOptions {
                 seed: 7,
-                // Transient drops on top of the hard kill: failover and
-                // same-shard retry coexist.
-                server: ServerConfig {
-                    fault: Some(FaultPlan::drop_every_nth(17)),
-                    ..ServerConfig::default()
-                },
                 ..ClusterOptions::default()
             },
         )
         .unwrap();
+    // Transient drops on top of the hard kill, so failover and
+    // same-shard retry coexist: one link per shard resets each
+    // connection at its fourth server-to-client frame (`WELCOME` is the
+    // first), so a retry on a fresh connection always gets through.
+    let schedule = ChaosSchedule::parse("<reset@n4").unwrap();
+    let links: Vec<ChaosLink> = cluster
+        .addrs()
+        .iter()
+        .enumerate()
+        .map(|(i, &addr)| ChaosLink::start(addr, schedule.clone(), 7 + i as u64).unwrap())
+        .collect();
+    let link_addrs: Vec<SocketAddr> = links.iter().map(ChaosLink::addr).collect();
 
     const CLIENTS: usize = 4;
     // Clients run one applet, rendezvous, the main thread kills shard 1,
     // then they run the rest against the degraded cluster.
     let barrier = Barrier::new(CLIENTS + 1);
     let mut clients: Vec<_> = (0..CLIENTS)
-        .map(|i| {
-            org.cluster_client_with(&cluster, &format!("user{i}"), "applets", fast_config())
-                .unwrap()
-        })
+        .map(|i| linked_client(&org, &cluster, &link_addrs, &format!("user{i}"), i))
         .collect();
 
     std::thread::scope(|scope| {
@@ -160,16 +211,16 @@ fn killing_one_of_three_shards_mid_run_loses_no_client() {
 
     // A brand-new client must also come up against the degraded cluster,
     // even when its preferred audit shard is the dead one.
-    for user in ["late0", "late1", "late2"] {
-        let mut late = org
-            .cluster_client_with(&cluster, user, "applets", fast_config())
-            .unwrap();
+    for (preferred, user) in ["late0", "late1", "late2"].into_iter().enumerate() {
+        let mut late = linked_client(&org, &cluster, &link_addrs, user, preferred);
         let report = late.run_main(&applets[0].main_class).unwrap();
         assert!(matches!(
             report.completion,
             dvm_repro::jvm::Completion::Normal(_)
         ));
     }
+    let faults: u64 = links.into_iter().map(|l| l.shutdown().faults_total()).sum();
+    assert!(faults > 0, "the links never reset a connection");
     cluster.shutdown();
 }
 

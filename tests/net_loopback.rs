@@ -4,8 +4,9 @@
 
 use std::time::{Duration, Instant};
 
+use dvm_repro::chaos::{ChaosLink, ChaosSchedule};
 use dvm_repro::core::{CostModel, Organization, ServiceConfig};
-use dvm_repro::net::{FaultPlan, Hello, NetClassProvider, NetConfig, NetError, ServerConfig};
+use dvm_repro::net::{Hello, NetClassProvider, NetConfig, NetError};
 use dvm_repro::proxy::{ServedFrom, Signer};
 use dvm_repro::security::Policy;
 use dvm_repro::workload::{corpus, Applet};
@@ -196,21 +197,21 @@ fn cache_tiers_and_signatures_are_reported_correctly() {
 }
 
 /// Injected connection drops are recovered by the client's bounded
-/// retry/backoff, transparently to the caller.
+/// retry/backoff, transparently to the caller. A [`ChaosLink`] between
+/// client and server resets every connection at its fourth
+/// server-to-client frame (the handshake's `WELCOME` is the first).
 #[test]
 fn injected_connection_drops_are_recovered_by_retry() {
     let applets = small_applets(37, 3);
     let org = org_over(&applets);
-    let server = org
-        .serve_with(
-            "127.0.0.1:0",
-            ServerConfig {
-                fault: Some(FaultPlan::drop_every_nth(4)),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-    let addr = server.addr();
+    let server = org.serve("127.0.0.1:0").unwrap();
+    let link = ChaosLink::start(
+        server.addr(),
+        ChaosSchedule::parse("<reset@n4").unwrap(),
+        37,
+    )
+    .unwrap();
+    let addr = link.addr();
 
     let cfg = NetConfig {
         max_attempts: 4,
@@ -236,12 +237,13 @@ fn injected_connection_drops_are_recovered_by_retry() {
 
     let stats = provider.stats();
     assert_eq!(stats.requests, names.len() as u64);
-    assert!(stats.retries > 0, "the fault plan never fired a retry");
+    assert!(stats.retries > 0, "the link's resets never fired a retry");
     assert!(stats.reconnects > 1, "recovery must rebuild the connection");
     assert_eq!(stats.signature_failures, 0);
 
-    let server_stats = server.shutdown();
-    assert!(server_stats.faults_injected > 0);
+    let link_stats = link.shutdown();
+    assert!(link_stats.faults_total() > 0);
+    server.shutdown();
 }
 
 /// Shutdown joins every connection thread — even with a client still
